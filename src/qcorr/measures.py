@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateFormulaError
 from .linalg import singular_values_3, trace_norm_hermitian
-from .oracles import SearchConfig, d1_oracle
+from .oracles import SearchConfig, bloch_matrix, d1_oracle, frame_norms
 from .states import (
     DensityMatrix,
     XStateParams,
@@ -128,19 +128,31 @@ def d1_x_state(
     return math.sqrt(max(num, 0.0) / den), "closed_form"
 
 
+def _d1_eigen_axes(rho: DensityMatrix) -> float:
+    """Smallest disturbance over the three eigen-axes of M = R R^T, R = [a | T].
+
+    Each eigenvector's frame is the other two.  Zero discord means rank R <= 1
+    (Dakic, Vedral & Brukner, PRL 105, 190502, 2010), and then the top
+    eigen-axis gives 0 to rounding, which a grid search can miss.
+    """
+    r = bloch_matrix(rho)
+    _, e = np.linalg.eigh(r @ r.T)
+    return float(frame_norms(r, e[:, [1, 0, 0]].T, e[:, [2, 2, 1]].T).min())
+
+
 def full_report(rho: DensityMatrix, cfg: SearchConfig | None = None) -> MeasureReport:
     """Compute all four measures for one state.
 
     d1 takes the closed-form route whenever the matrix has the X sparsity
     pattern (off-pattern entries below 1e-12); anything borderline goes to the
-    slower direct minimization.
+    slower direct minimization, which also tries the eigen-axes of M.
     """
     t = singular_values_3(covariance_matrix(rho))
     a, b = bloch_vectors(rho)
     if is_x_shaped(rho.mat, X_PATTERN_TOL):
         d1, method = d1_x_state(XStateParams.from_density_matrix(rho), cfg)
     else:
-        d1, method = d1_oracle(rho, cfg), "oracle"
+        d1, method = min(d1_oracle(rho, cfg), _d1_eigen_axes(rho)), "oracle"
     return MeasureReport(
         mmc=float(t[0]),
         correlation_distance=_distance_from_singular_values(t),

@@ -5,10 +5,17 @@ disturbance is minimized over a deterministic angle grid with pattern-search
 refinement, and the covariance-matrix norm is maximized by alternating
 optimization from a grid of unit-vector starts.  Results are reproducible
 bit-for-bit for a fixed :class:`SearchConfig`.
+
+The grid and the refinement evaluate the disturbance with :func:`frame_norms`,
+a closed expression in R = [a | T] and an orthonormal frame normal to the
+axis.  :func:`disturbance_norms` evaluates the same norm from the definition,
+by eigenvalues of rho - P(rho); it is the reference the kernel is tested
+against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,10 +23,17 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError
-from .states import DensityMatrix, ProbTable2x2, pauli, projector_pair
-
-_SIGMA = np.stack([pauli(i) for i in (1, 2, 3)])
-_EYE2 = np.eye(2, dtype=complex)
+from .states import (
+    _EYE2,
+    _SIGMA,
+    _as_mat,
+    DensityMatrix,
+    ProbTable2x2,
+    bloch_vectors,
+    correlation_tensor,
+    pauli,
+    projector_pair,
+)
 
 
 @dataclass(frozen=True)
@@ -56,12 +70,6 @@ def measurement_map(rho: DensityMatrix, theta: float, phi: float) -> DensityMatr
     return DensityMatrix(k1 @ rho.mat @ k1 + k2 @ rho.mat @ k2)
 
 
-def _as_mat(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        return rho.mat
-    return np.asarray(rho, dtype=complex)
-
-
 def disturbance_norms(rho, thetas, phis) -> np.ndarray:
     """Trace norm of rho - P(rho) for a batch of measurement angles.
 
@@ -86,25 +94,68 @@ def disturbance_norms(rho, thetas, phis) -> np.ndarray:
     return np.abs(eig).sum(axis=-1)
 
 
-def _axis_from_angles(theta: float, phi: float) -> np.ndarray:
-    polar = 2.0 * theta
-    return np.array(
-        [math.sin(polar) * math.cos(phi), math.sin(polar) * math.sin(phi), math.cos(polar)]
-    )
+def bloch_matrix(rho) -> np.ndarray:
+    """R = [a | T]: A's Bloch vector beside the correlation tensor, 3x4.
+
+    ``rho - P(rho)`` does not involve B's Bloch vector, so every measurement
+    disturbance is a function of R alone.
+    """
+    a, _ = bloch_vectors(rho)
+    return np.column_stack([a, correlation_tensor(rho)])
 
 
-def _angles_of_axes(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    thetas = 0.5 * np.arccos(np.clip(axes[:, 2], -1.0, 1.0))
-    phis = np.arctan2(axes[:, 1], axes[:, 0])
-    return thetas, phis
+def _rows_times(frame: np.ndarray, r: np.ndarray) -> np.ndarray:
+    # frame @ r written out, so the sums never depend on BLAS threading.
+    return frame[:, 0, None] * r[0] + frame[:, 1, None] * r[1] + frame[:, 2, None] * r[2]
 
 
-def _tangent_frame(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pole = np.zeros(3)
-    pole[int(np.argmin(np.abs(n)))] = 1.0
-    u = np.cross(n, pole)
-    u /= np.linalg.norm(u)
-    return u, np.cross(n, u)
+def frame_norms(r: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Trace norms of rho - P_n(rho), one per frame, from R = ``bloch_matrix(rho)``.
+
+    Row k of ``u`` and ``v`` is an orthonormal frame of the plane normal to
+    measurement axis n_k.  With p = u^T R, q = v^T R and the Lorentz product
+    <x, y> = x0 y0 - x.y, the norm is
+    sqrt((|p|^2 + |q|^2 + hypot(<p,p> - <q,q>, 2<p,q>)) / 2), a sum of
+    non-negative terms with no cancellation (Ciccarello, Tufarelli &
+    Giovannetti, NJP 16, 013038, 2014).
+    """
+    p = _rows_times(u, r)
+    q = _rows_times(v, r)
+    p0, q0, pv, qv = p[:, 0], q[:, 0], p[:, 1:], q[:, 1:]
+    pp, qq, pq = (pv * pv).sum(-1), (qv * qv).sum(-1), (pv * qv).sum(-1)
+    euclid = p0 * p0 + pp + q0 * q0 + qq
+    lorentz = np.hypot(p0 * p0 - pp - q0 * q0 + qq, 2.0 * (p0 * q0 - pq))
+    return np.sqrt(0.5 * (euclid + lorentz))
+
+
+@functools.lru_cache(maxsize=4)
+def _grid_frames(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Axes n, frames (u, v) and first refine step of the hemisphere search grid."""
+    polar = 2.0 * np.linspace(0.0, math.pi / 4.0, n_theta)
+    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    pg, ph = np.meshgrid(polar, phis, indexing="ij")
+    sp, cp, sph, cph = np.sin(pg), np.cos(pg), np.sin(ph), np.cos(ph)
+    n = np.stack([sp * cph, sp * sph, cp], axis=-1).reshape(-1, 3)
+    u = np.stack([cp * cph, cp * sph, -sp], axis=-1).reshape(-1, 3)
+    v = np.stack([-sph, cph, np.zeros_like(ph)], axis=-1).reshape(-1, 3)
+    for arr in (n, u, v):
+        arr.setflags(write=False)
+    return n, u, v, max(polar[1] - polar[0], phis[1] - phis[0])
+
+
+def _compass_frames(n, u, v, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Axes and frames one compass step of length ``step`` away: +u, -u, +v, -v.
+
+    The step rotates the frame with the axis, n' = c (n +- s u),
+    u' = c (u -+ s n), v' = v with c = 1 / sqrt(1 + s^2), so no frame is
+    rebuilt from scratch.
+    """
+    c = 1.0 / math.sqrt(1.0 + step * step)
+    sn = step * n
+    cand_n = c * np.stack([n + step * u, n - step * u, n + step * v, n - step * v])
+    cand_u = np.stack([c * (u - sn), c * (u + sn), u, u])
+    cand_v = np.stack([v, v, c * (v - sn), c * (v + sn)])
+    return cand_n, cand_u, cand_v
 
 
 def d1_oracle(rho: DensityMatrix, cfg: SearchConfig | None = None, *, stop_below: float | None = None) -> float:
@@ -119,27 +170,21 @@ def d1_oracle(rho: DensityMatrix, cfg: SearchConfig | None = None, *, stop_below
     need.
     """
     cfg = DEFAULT_SEARCH if cfg is None else cfg
-    mat = _as_mat(rho)
-    n_theta, n_phi = cfg.coarse_grid
-    thetas = np.linspace(0.0, math.pi / 4.0, n_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    tg, pg = np.meshgrid(thetas, phis, indexing="ij")
-    vals = disturbance_norms(mat, tg.ravel(), pg.ravel())
+    r = bloch_matrix(rho)
+    grid_n, grid_u, grid_v, step = _grid_frames(*cfg.coarse_grid)
+    vals = frame_norms(r, grid_u, grid_v)
     k = int(np.argmin(vals))
     best = float(vals[k])
-    axis = _axis_from_angles(float(tg.ravel()[k]), float(pg.ravel()[k]))
-    step = max(2.0 * (thetas[1] - thetas[0]), phis[1] - phis[0])
+    n, u, v = grid_n[k], grid_u[k], grid_v[k]
     for _ in range(cfg.refine_iters):
         if stop_below is not None and best <= stop_below:
             return best
-        u, v = _tangent_frame(axis)
-        cand = np.stack([axis + step * u, axis - step * u, axis + step * v, axis - step * v])
-        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        cand_vals = disturbance_norms(mat, *_angles_of_axes(cand))
+        cand_n, cand_u, cand_v = _compass_frames(n, u, v, step)
+        cand_vals = frame_norms(r, cand_u, cand_v)
         j = int(np.argmin(cand_vals))
         if cand_vals[j] < best:
             best = float(cand_vals[j])
-            axis = cand[j]
+            n, u, v = cand_n[j], cand_u[j], cand_v[j]
         else:
             step *= cfg.refine_shrink
     return best

@@ -96,6 +96,8 @@ class DensityMatrix:
         m = np.asarray(mat, dtype=complex)
         if m.shape != (4, 4):
             raise StateError(f"density matrix must be 4x4, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise StateError("density matrix has non-finite entries")
         herm_dev = float(np.abs(m - m.conj().T).max())
         if herm_dev > linalg.HERMITICITY_TOL:
             raise StateError(
@@ -117,6 +119,12 @@ class DensityMatrix:
         return f"DensityMatrix(\n{np.array_str(self.mat, precision=6)}\n)"
 
 
+def _as_mat(rho) -> np.ndarray:
+    if isinstance(rho, DensityMatrix):
+        return rho.mat
+    return np.asarray(rho, dtype=complex)
+
+
 @dataclass(frozen=True)
 class XStateParams:
     """Parameters of an X-shaped state: diagonal plus real non-negative anti-diagonal."""
@@ -130,8 +138,8 @@ class XStateParams:
 
     def __post_init__(self):
         vals = (self.rho11, self.rho22, self.rho33, self.rho44, self.rho14, self.rho23)
-        if any(v < 0.0 for v in vals):
-            raise StateError("X-state parameters must be non-negative")
+        if not all(0.0 <= v < math.inf for v in vals):
+            raise StateError("X-state parameters must be finite and non-negative")
         total = self.rho11 + self.rho22 + self.rho33 + self.rho44
         if abs(total - 1.0) > TRACE_TOL:
             raise StateError(f"X-state diagonal sums to {total:.15g}, expected 1")
@@ -170,8 +178,8 @@ class ProbTable2x2:
 
     def __post_init__(self):
         entries = (self.p11, self.p12, self.p21, self.p22)
-        if any(p < 0.0 for p in entries):
-            raise StateError("probability table entries must be non-negative")
+        if not all(0.0 <= p < math.inf for p in entries):
+            raise StateError("probability table entries must be finite and non-negative")
         total = sum(entries)
         if abs(total - 1.0) > TRACE_TOL:
             raise StateError(f"probability table sums to {total:.15g}, expected 1")
@@ -335,13 +343,17 @@ def partial_transpose(rho: DensityMatrix) -> np.ndarray:
     return rho.mat.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4).copy()
 
 
-def bloch_vectors(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Marginal Bloch vectors (a, b) with a_i = tr(rho sigma_i (x) I), b_j = tr(rho I (x) sigma_j)."""
-    a = np.real(np.einsum("kab,ba->k", _SIGMA_A, rho.mat))
-    b = np.real(np.einsum("kab,ba->k", _SIGMA_B, rho.mat))
+def bloch_vectors(rho) -> tuple[np.ndarray, np.ndarray]:
+    """Marginal Bloch vectors (a, b) with a_i = tr(rho sigma_i (x) I), b_j = tr(rho I (x) sigma_j).
+
+    ``rho`` is a :class:`DensityMatrix` or a raw 4x4 array.
+    """
+    mat = _as_mat(rho)
+    a = np.real(np.einsum("kab,ba->k", _SIGMA_A, mat))
+    b = np.real(np.einsum("kab,ba->k", _SIGMA_B, mat))
     return a, b
 
 
-def correlation_tensor(rho: DensityMatrix) -> np.ndarray:
-    """3x3 matrix of raw correlations T_ij = tr(rho sigma_i (x) sigma_j)."""
-    return np.real(np.einsum("ijab,ba->ij", _SIGMA_AB, rho.mat))
+def correlation_tensor(rho) -> np.ndarray:
+    """3x3 matrix of raw correlations T_ij = tr(rho sigma_i (x) sigma_j); ``rho`` as in :func:`bloch_vectors`."""
+    return np.real(np.einsum("ijab,ba->ij", _SIGMA_AB, _as_mat(rho)))

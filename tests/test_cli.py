@@ -71,6 +71,15 @@ class TestMeasures:
         assert code == 3
         assert "tetrahedron" in err
 
+    def test_nan_raw_record_exit_3(self, capsys):
+        re = (np.eye(4) / 4).tolist()
+        re[0][1] = re[1][0] = math.nan
+        record = {"family": "raw", "params": {"re": re, "im": np.zeros((4, 4)).tolist()}}
+        code, out, err = run_cli(capsys, "measures", "--inline", json.dumps(record))
+        assert code == 3
+        assert out == ""
+        assert "non-finite" in err
+
     def test_requires_exactly_one_source(self, capsys):
         code, _, _ = run_cli(capsys, "measures")
         assert code == 2

@@ -29,6 +29,7 @@ from qcorr.states import (
     rho_theta,
     x_state,
 )
+from qcorr.stateio import report_to_record, state_from_record
 from qcorr.verify import random_bloch_vector, random_density_matrix, random_x_params
 
 BULK = SearchConfig(coarse_grid=(32, 64), refine_iters=40, refine_shrink=0.5, seed=0)
@@ -257,6 +258,64 @@ class TestFullReport:
                 bloch_a=(0, 0, 0),
                 bloch_b=(0, 0, 0),
             )
+
+
+# Generic cq states on which the 64x128 grid plus 40 refine steps alone used to
+# stop at d1 = 1.0e-4 and 3.9e-3.
+MISSED_CQ_RECORDS = [
+    {"family": "cq", "params": {
+        "p1": 0.7297296676399261, "theta": 1.1445642901251563, "phi": 3.9978674073766456,
+        "a1": [-0.715795767631048, 0.5394313364056318, 0.3307437601239708],
+        "a2": [-0.5220437541903601, 0.43173852093886933, 0.1975885731372346]}},
+    {"family": "cq", "params": {
+        "p1": 0.36336183993397303, "theta": 1.2424237539063505, "phi": 1.1682154301345848,
+        "a1": [0.3869525533519482, -0.10743789742547423, 0.48003701728284764],
+        "a2": [-0.25673912091845, -0.7769853073995477, 0.06909740506054]}},
+]
+
+
+class TestZeroDiscordReports:
+    @pytest.mark.parametrize("record", MISSED_CQ_RECORDS)
+    def test_recorded_search_misses_are_closed(self, record):
+        rep = full_report(state_from_record(record))
+        assert rep.d1_method == "oracle"
+        assert rep.d1 <= 1e-6
+        # The top eigen-axis of M is exact here; the search alone stops near 1e-8.
+        assert rep.d1 <= 1e-12
+
+    def test_random_cq_states(self):
+        rng = np.random.default_rng(139)
+        for _ in range(200):
+            rho = cq_state(
+                rng.random(),
+                rng.random() * math.pi / 2,
+                rng.random() * 2 * math.pi,
+                random_bloch_vector(rng),
+                random_bloch_vector(rng),
+            )
+            assert full_report(rho).d1 <= 1e-6
+
+    def test_random_cc_states(self):
+        rng = np.random.default_rng(149)
+        for _ in range(200):
+            table = ProbTable2x2.from_array(rng.dirichlet(np.ones(4)).reshape(2, 2))
+            angles = rng.random(4) * (math.pi / 2, 2 * math.pi, math.pi / 2, 2 * math.pi)
+            assert full_report(cc_state(table, *angles)).d1 <= 1e-6
+
+    def test_never_above_the_search(self):
+        rng = np.random.default_rng(151)
+        for _ in range(20):
+            rho = random_density_matrix(rng)
+            assert full_report(rho, cfg=BULK).d1 <= d1_oracle(rho, BULK)
+
+    def test_repeated_reports_bit_identical(self):
+        rng = np.random.default_rng(157)
+        states = [state_from_record(r) for r in MISSED_CQ_RECORDS]
+        states += [random_density_matrix(rng) for _ in range(4)]
+        for rho in states:
+            first = report_to_record(full_report(rho))
+            second = report_to_record(full_report(rho))
+            assert repr(first) == repr(second)
 
 
 class TestLocalUnitaryInvariance:

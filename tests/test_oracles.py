@@ -7,10 +7,14 @@ from qcorr.linalg import trace_norm_hermitian
 from qcorr.measures import mmc
 from qcorr.oracles import (
     SearchConfig,
+    _compass_frames,
+    _grid_frames,
+    bloch_matrix,
     classical_cov,
     classical_cov_from_moments,
     d1_oracle,
     disturbance_norms,
+    frame_norms,
     measurement_map,
     mmc_oracle,
 )
@@ -25,7 +29,7 @@ from qcorr.states import (
     rho_d,
 )
 from qcorr.linalg import kron
-from qcorr.verify import random_bloch_vector, random_density_matrix
+from qcorr.verify import CLOSED_TOL, random_bloch_vector, random_density_matrix
 
 BULK = SearchConfig(coarse_grid=(32, 64), refine_iters=40, refine_shrink=0.5, seed=0)
 
@@ -101,6 +105,65 @@ class TestDisturbanceNorms:
 
         with pytest.raises(DimensionError):
             disturbance_norms(np.eye(4) / 4, np.zeros(3), np.zeros(4))
+
+
+def _angles(axes):
+    """(theta, phi) of unit axes in the convention of disturbance_norms."""
+    return 0.5 * np.arccos(np.clip(axes[:, 2], -1.0, 1.0)), np.arctan2(axes[:, 1], axes[:, 0])
+
+
+class TestFrameNorms:
+    def test_matches_eigenvalue_reference_on_random_axes(self):
+        rng = np.random.default_rng(113)
+        for _ in range(50):
+            rho = random_density_matrix(rng)
+            frames = np.linalg.qr(rng.standard_normal((16, 3, 3)))[0]  # columns n, u, v
+            n, u, v = frames[:, :, 0], frames[:, :, 1], frames[:, :, 2]
+            kernel = frame_norms(bloch_matrix(rho), u, v)
+            assert np.abs(kernel - disturbance_norms(rho, *_angles(n))).max() <= CLOSED_TOL
+
+    @pytest.mark.parametrize("shape", [(64, 128), (32, 64)])
+    def test_matches_reference_on_grid_nodes(self, shape):
+        n_theta, n_phi = shape
+        n, u, v, _ = _grid_frames(n_theta, n_phi)
+        tg, pg = np.meshgrid(
+            np.linspace(0.0, math.pi / 4.0, n_theta),
+            np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False),
+            indexing="ij",
+        )
+        assert np.all(tg.ravel()[:n_phi] == 0.0)  # the pole row is part of the grid
+        assert np.abs(np.einsum("ki,ki->k", n, u)).max() <= 1e-15
+        rng = np.random.default_rng(127)
+        for _ in range(5):
+            rho = random_density_matrix(rng)
+            kernel = frame_norms(bloch_matrix(rho), u, v)
+            reference = disturbance_norms(rho, tg.ravel(), pg.ravel())
+            assert np.abs(kernel - reference).max() <= CLOSED_TOL
+
+    def test_grid_frames_cached_per_shape(self):
+        assert _grid_frames(32, 64) is _grid_frames(32, 64)
+        assert _grid_frames(32, 64)[0].shape == (32 * 64, 3)
+
+    def test_carried_compass_frames_stay_orthonormal(self):
+        rng = np.random.default_rng(131)
+        rho = random_density_matrix(rng)
+        r = bloch_matrix(rho)
+        n, u, v, _ = _grid_frames(64, 128)
+        n, u, v = n[300], u[300], v[300]
+        for k in range(2000):
+            cand_n, cand_u, cand_v = _compass_frames(n, u, v, 0.05 * rng.random())
+            frames = np.stack([cand_n, cand_u, cand_v], axis=-1)  # columns n, u, v
+            gram = np.einsum("kia,kib->kab", frames, frames)
+            assert np.abs(gram - np.eye(3)).max() <= 1e-12
+            if k % 100 == 0:
+                kernel = frame_norms(r, cand_u, cand_v)
+                assert np.abs(kernel - disturbance_norms(rho, *_angles(cand_n))).max() <= CLOSED_TOL
+            j = k % 4
+            n, u, v = cand_n[j], cand_u[j], cand_v[j]
+
+    def test_raw_array_gives_same_bloch_matrix(self):
+        rho = random_density_matrix(np.random.default_rng(137))
+        assert np.array_equal(bloch_matrix(rho), bloch_matrix(rho.mat))
 
 
 class TestD1Oracle:

@@ -119,6 +119,18 @@ class TestDensityMatrixValidation:
         with pytest.raises(StateError, match="positive semidefinite"):
             DensityMatrix(np.diag([0.6, 0.6, -0.1, -0.1]))
 
+    def test_rejects_nan_off_diagonal_pair(self):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = m[1, 0] = np.nan
+        with pytest.raises(StateError, match="non-finite"):
+            DensityMatrix(m)
+
+    def test_rejects_infinite_diagonal_entry(self):
+        m = np.eye(4) / 4
+        m[2, 2] = np.inf
+        with pytest.raises(StateError, match="non-finite"):
+            DensityMatrix(m)
+
     def test_matrix_is_read_only(self):
         rho = pure_state(0.5)
         with pytest.raises(ValueError):
@@ -195,6 +207,10 @@ class TestClassicalClassical:
         table = ProbTable2x2(0.4, 0.1, 0.2, 0.3)
         assert np.allclose(cc_state(table, 0.0, 0.0).mat, np.diag([0.4, 0.1, 0.2, 0.3]))
 
+    def test_nan_table_rejected(self):
+        with pytest.raises(StateError, match="finite"):
+            ProbTable2x2(0.5, math.nan, 0.0, 0.5)
+
     def test_matches_cq_construction(self):
         # a cc state is a cq state whose B-side states are mixtures of the
         # B projectors, i.e. Bloch vectors proportional to the +/- B axis
@@ -247,6 +263,12 @@ class TestXState:
     def test_negative_entry_rejected(self):
         with pytest.raises(StateError):
             XStateParams(0.25, 0.25, 0.25, 0.25, -0.1, 0.0)
+
+    def test_rejects_nan_parameter(self):
+        with pytest.raises(StateError, match="finite"):
+            XStateParams(0.25, 0.25, 0.25, 0.25, math.nan, 0.0)
+        with pytest.raises(StateError, match="finite"):
+            XStateParams(math.nan, 0.25, 0.25, 0.25, 0.0, 0.0)
 
 
 class TestRhoD:
