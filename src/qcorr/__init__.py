@@ -7,7 +7,6 @@ negativity of the partial transpose, and the trace-norm measurement discord.
 """
 
 from .errors import (
-    DegenerateFormulaError,
     DimensionError,
     HermiticityError,
     QcorrError,
@@ -15,7 +14,6 @@ from .errors import (
     StateError,
 )
 from .linalg import (
-    hermitian_eigenvalues,
     kron,
     singular_values_3,
     trace_norm_hermitian,
@@ -73,7 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_SEARCH",
-    "DegenerateFormulaError",
     "DensityMatrix",
     "DimensionError",
     "HermiticityError",
@@ -100,7 +97,6 @@ __all__ = [
     "disturbance_norms",
     "format_line",
     "full_report",
-    "hermitian_eigenvalues",
     "is_x_shaped",
     "kron",
     "measurement_map",

@@ -9,10 +9,11 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 
 from .errors import RecordError, StateError
 from .measures import full_report
-from .oracles import DEFAULT_SEARCH, SearchConfig
+from .oracles import DEFAULT_SEARCH
 from .stateio import (
     report_to_record,
     state_from_record,
@@ -63,18 +64,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _search_config(args, *, none_when_default: bool = False) -> SearchConfig | None:
-    overridden = any(
-        getattr(args, name, None) is not None for name in ("grid", "refine", "seed")
-    )
-    if none_when_default and not overridden:
-        return None
-    return SearchConfig(
-        coarse_grid=args.grid if args.grid is not None else DEFAULT_SEARCH.coarse_grid,
-        refine_iters=args.refine if args.refine is not None else DEFAULT_SEARCH.refine_iters,
-        refine_shrink=DEFAULT_SEARCH.refine_shrink,
-        seed=args.seed if args.seed is not None else DEFAULT_SEARCH.seed,
-    )
+_SEARCH_FLAGS = {"grid": "coarse_grid", "refine": "refine_iters", "seed": "seed"}
+
+
+def _search_overrides(args) -> dict:
+    """SearchConfig fields set on the command line; each flag sets only its own."""
+    return {
+        field: getattr(args, flag)
+        for flag, field in _SEARCH_FLAGS.items()
+        if getattr(args, flag) is not None
+    }
 
 
 def _load_record(args) -> dict:
@@ -99,7 +98,7 @@ def _load_record(args) -> dict:
 
 def _cmd_measures(args) -> int:
     record = _load_record(args)
-    cfg = _search_config(args)
+    cfg = replace(DEFAULT_SEARCH, **_search_overrides(args))
     rho = state_from_record(record)
     report = full_report(rho, cfg=cfg)
     print(json.dumps(report_to_record(report)))
@@ -108,7 +107,7 @@ def _cmd_measures(args) -> int:
 
 def _cmd_sweep(args) -> int:
     record = _load_record(args)
-    cfg = _search_config(args)
+    cfg = replace(DEFAULT_SEARCH, **_search_overrides(args))
     spec = sweep_from_record(record)
     rows = []
     for value in spec.values():
@@ -141,8 +140,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _search_config(args, none_when_default=True)
-    results = run_checks(prefix=args.filter, cfg=cfg)
+    results = run_checks(prefix=args.filter, overrides=_search_overrides(args))
     for result in results:
         print(format_line(result))
     failed = sum(1 for r in results if not r.passed)

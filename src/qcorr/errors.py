@@ -17,9 +17,5 @@ class StateError(QcorrError, ValueError):
     """Invalid state parameters, or a matrix violating density-matrix invariants."""
 
 
-class DegenerateFormulaError(QcorrError, ArithmeticError):
-    """A closed form hit a vanishing denominator outside its handled degenerate case."""
-
-
 class RecordError(QcorrError, ValueError):
     """A state or sweep record could not be interpreted."""

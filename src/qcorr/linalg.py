@@ -27,14 +27,6 @@ def _as_matrix(a, what: str = "operand") -> np.ndarray:
     return a
 
 
-def _matched(a, b):
-    a = _as_matrix(a)
-    b = _as_matrix(b, "second operand")
-    if a.shape != b.shape:
-        raise DimensionError(f"operand dimensions differ: {a.shape[0]} vs {b.shape[0]}")
-    return a, b
-
-
 def require_hermitian(h, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Return ``h`` as a complex array; raise if not Hermitian within ``tol``."""
     h = _as_matrix(h, "hermitian input")
@@ -55,12 +47,6 @@ def kron(a, b) -> np.ndarray:
             f"kron result dimension {a.shape[0] * b.shape[0]} exceeds the supported maximum 4"
         )
     return np.kron(a, b)
-
-
-def hermitian_eigenvalues(h) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, sorted descending."""
-    h = require_hermitian(h)
-    return np.linalg.eigvalsh(h)[::-1].copy()
 
 
 def trace_norm_hermitian(h) -> float:
@@ -85,29 +71,3 @@ def singular_values_3(q) -> np.ndarray:
         )
     return np.sqrt(np.clip(gram, 0.0, None))
 
-
-def add(a, b) -> np.ndarray:
-    a, b = _matched(a, b)
-    return a + b
-
-
-def subtract(a, b) -> np.ndarray:
-    a, b = _matched(a, b)
-    return a - b
-
-
-def scale(c, a) -> np.ndarray:
-    return complex(c) * _as_matrix(a)
-
-
-def multiply(a, b) -> np.ndarray:
-    a, b = _matched(a, b)
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    return _as_matrix(a).conj().T.copy()
-
-
-def trace(a) -> complex:
-    return complex(_as_matrix(a).trace())

@@ -4,8 +4,9 @@ mmc                  largest singular value t1 of the covariance matrix Q
 correlation_distance (|t1+t2+t3| + |t1+t2-t3| + |t1-t2+t3| + |-t1+t2+t3|) / 4
 negativity           trace norm of the partial transpose minus 1
 d1                   minimal trace-norm disturbance under one-sided projective
-                     measurement; closed form on X-shaped states, otherwise a
-                     grid-search minimization
+                     measurement; one closed form on every X-shaped state,
+                     otherwise a grid-search minimization that also tries the
+                     eigen-axes of M = R R^T
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFormulaError
 from .linalg import singular_values_3, trace_norm_hermitian
 from .oracles import SearchConfig, bloch_matrix, d1_oracle, frame_norms
 from .states import (
@@ -25,12 +25,9 @@ from .states import (
     correlation_tensor,
     is_x_shaped,
     partial_transpose,
-    x_state,
 )
 
 X_PATTERN_TOL = 1e-12
-DEGENERACY_TOL = 1e-9
-DENOMINATOR_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -94,38 +91,32 @@ def negativity(rho: DensityMatrix) -> float:
     return value if value > 0.0 else 0.0
 
 
-def d1_x_state(
-    params: XStateParams, cfg: SearchConfig | None = None
-) -> tuple[float, str]:
+def d1_x_state(params: XStateParams) -> tuple[float, str]:
     """Trace-norm discord of an X-shaped state, with the method that produced it.
 
-    Uses the closed form in terms of x = 2(rho11 + rho22) - 1 and
-    alpha = (2(rho23 + rho14), 2(rho23 - rho14), 1 - 2(rho22 + rho33)).
-    That expression breaks down when x = 0 and |alpha1| = |alpha2| = |alpha3|;
-    there the value is obtained by direct minimization instead and the method
-    flag reads "oracle".
+    In terms of x = 2(rho11 + rho22) - 1 and
+    alpha = (2(rho23 + rho14), 2(rho23 - rho14), 1 - 2(rho22 + rho33)), with
+    s_i = alpha_i^2, big = max(s3, s2 + x^2) and small = min(s3, s1),
+    d1^2 = (s1 w1 + small w2) / (w1 + w2) for the weights w1 = big - small and
+    w2 = s1 - s2 (Ciccarello, Tufarelli & Giovannetti, NJP 16, 013038, 2014).
+    Both weights are non-negative (rho14, rho23 >= 0 gives |alpha1| >= |alpha2|),
+    so d1^2 is a convex combination of s1 and small and nothing cancels.  When
+    both weights vanish, s1 = small and d1 = |alpha1|; on Werner-type states
+    (x = 0, |alpha1| = |alpha2| = |alpha3|) that is the exact common value.
+    The method always reads "closed_form".
     """
     x = 2.0 * (params.rho11 + params.rho22) - 1.0
     a1 = 2.0 * (params.rho23 + params.rho14)
     a2 = 2.0 * (params.rho23 - params.rho14)
     a3 = 1.0 - 2.0 * (params.rho22 + params.rho33)
-    degenerate = (
-        abs(x) < DEGENERACY_TOL
-        and abs(abs(a1) - abs(a2)) < DEGENERACY_TOL
-        and abs(abs(a2) - abs(a3)) < DEGENERACY_TOL
-    )
-    if degenerate:
-        return d1_oracle(x_state(params), cfg), "oracle"
-    big = max(a3 * a3, a2 * a2 + x * x)
-    small = min(a3 * a3, a1 * a1)
-    den = big - small + a1 * a1 - a2 * a2
-    if abs(den) < DENOMINATOR_TOL:
-        raise DegenerateFormulaError(
-            f"closed-form denominator {den:.3e} vanishes outside the handled "
-            "degenerate case; refusing to guess"
-        )
-    num = big * a1 * a1 - small * a2 * a2
-    return math.sqrt(max(num, 0.0) / den), "closed_form"
+    s1, s2, s3 = a1 * a1, a2 * a2, a3 * a3
+    big = max(s3, s2 + x * x)
+    small = min(s3, s1)
+    w1 = big - small
+    w2 = s1 - s2
+    if w1 + w2 == 0.0:
+        return abs(a1), "closed_form"
+    return math.sqrt((s1 * w1 + small * w2) / (w1 + w2)), "closed_form"
 
 
 def _d1_eigen_axes(rho: DensityMatrix) -> float:
@@ -150,7 +141,7 @@ def full_report(rho: DensityMatrix, cfg: SearchConfig | None = None) -> MeasureR
     t = singular_values_3(covariance_matrix(rho))
     a, b = bloch_vectors(rho)
     if is_x_shaped(rho.mat, X_PATTERN_TOL):
-        d1, method = d1_x_state(XStateParams.from_density_matrix(rho), cfg)
+        d1, method = d1_x_state(XStateParams.from_density_matrix(rho))
     else:
         d1, method = min(d1_oracle(rho, cfg), _d1_eigen_axes(rho)), "oracle"
     return MeasureReport(

@@ -42,7 +42,6 @@ class SearchConfig:
 
     coarse_grid: tuple[int, int] = (64, 128)
     refine_iters: int = 40
-    refine_shrink: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -51,11 +50,12 @@ class SearchConfig:
             raise ValueError(f"coarse grid must be at least 32x64, got {nt}x{nph}")
         if self.refine_iters < 20:
             raise ValueError(f"refine_iters must be at least 20, got {self.refine_iters}")
-        if not 0.0 < self.refine_shrink < 1.0:
-            raise ValueError(f"refine_shrink must lie in (0, 1), got {self.refine_shrink}")
 
 
 DEFAULT_SEARCH = SearchConfig()
+
+# Factor applied to the compass step after a refine step that finds no better axis.
+_REFINE_SHRINK = 0.5
 
 
 def measurement_map(rho: DensityMatrix, theta: float, phi: float) -> DensityMatrix:
@@ -186,7 +186,7 @@ def d1_oracle(rho: DensityMatrix, cfg: SearchConfig | None = None, *, stop_below
             best = float(cand_vals[j])
             n, u, v = cand_n[j], cand_u[j], cand_v[j]
         else:
-            step *= cfg.refine_shrink
+            step *= _REFINE_SHRINK
     return best
 
 
@@ -195,13 +195,13 @@ def _covariance_by_traces(rho: DensityMatrix) -> np.ndarray:
     # kept deliberately separate from the vectorized production path.
     a_ops = [linalg.kron(pauli(i), _EYE2) for i in (1, 2, 3)]
     b_ops = [linalg.kron(_EYE2, pauli(j)) for j in (1, 2, 3)]
-    a = np.array([linalg.trace(linalg.multiply(rho.mat, op)).real for op in a_ops])
-    b = np.array([linalg.trace(linalg.multiply(rho.mat, op)).real for op in b_ops])
+    a = np.array([np.trace(rho.mat @ op).real for op in a_ops])
+    b = np.array([np.trace(rho.mat @ op).real for op in b_ops])
     q = np.empty((3, 3))
     for i in range(3):
         for j in range(3):
-            both = linalg.multiply(a_ops[i], b_ops[j])
-            q[i, j] = linalg.trace(linalg.multiply(rho.mat, both)).real - a[i] * b[j]
+            both = a_ops[i] @ b_ops[j]
+            q[i, j] = np.trace(rho.mat @ both).real - a[i] * b[j]
     return q
 
 

@@ -8,7 +8,7 @@ the sample.  All randomness is seeded, so a run is reproducible end to end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,7 +45,7 @@ CLOSED_TOL = 1e-10
 ORACLE_TOL = 2e-3
 
 # Cheaper but still admissible search used for the large sampled ensembles.
-_BULK_DEFAULT = SearchConfig(coarse_grid=(32, 64), refine_iters=60, refine_shrink=0.5, seed=0)
+_BULK_DEFAULT = SearchConfig(coarse_grid=(32, 64), refine_iters=60, seed=0)
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,15 @@ def format_line(result: VerifyResult) -> str:
     )
 
 
-def _configs(cfg: SearchConfig | None) -> tuple[SearchConfig, SearchConfig, int]:
-    """(single-state config, bulk-ensemble config, ensemble seed)."""
-    if cfg is None:
-        return DEFAULT_SEARCH, _BULK_DEFAULT, 0
-    return cfg, cfg, cfg.seed
+def _configs(overrides: dict | None) -> tuple[SearchConfig, SearchConfig, int]:
+    """(single-state config, bulk-ensemble config, ensemble seed).
+
+    ``overrides`` maps SearchConfig fields to values; each one replaces only
+    its own field, in both configs.  The ensemble seed is the bulk seed.
+    """
+    overrides = overrides or {}
+    bulk = replace(_BULK_DEFAULT, **overrides)
+    return replace(DEFAULT_SEARCH, **overrides), bulk, bulk.seed
 
 
 def random_density_matrix(rng: np.random.Generator, components: int | None = None) -> DensityMatrix:
@@ -123,13 +127,25 @@ _BELL_SIGNS = np.array(
 )
 
 
+def near_werner_params(x: float) -> XStateParams:
+    """X state with |alpha1| = |alpha2| = |alpha3| = 1/3 and the given x; d1 = 1/3."""
+    return XStateParams(
+        rho11=1.0 / 3.0 + 0.5 * x,
+        rho22=1.0 / 6.0,
+        rho33=1.0 / 6.0,
+        rho44=1.0 / 3.0 - 0.5 * x,
+        rho14=1.0 / 6.0,
+        rho23=0.0,
+    )
+
+
 def random_bell_coefficients(rng: np.random.Generator) -> np.ndarray:
     """Random point of the Bell-diagonal tetrahedron via random vertex weights."""
     return rng.dirichlet(np.ones(4)) @ _BELL_SIGNS
 
 
-def check_pure(cfg: SearchConfig | None = None) -> list[VerifyResult]:
-    spot_cfg, _, _ = _configs(cfg)
+def check_pure(overrides: dict | None = None) -> list[VerifyResult]:
+    spot_cfg, _, _ = _configs(overrides)
     dev_n = dev_d1 = dev_m = dev_c = dev_oracle = 0.0
     for n in (0.1, 0.25, 0.6, 0.9, 1.0):
         rho = pure_state(n)
@@ -148,8 +164,8 @@ def check_pure(cfg: SearchConfig | None = None) -> list[VerifyResult]:
     ]
 
 
-def check_classical_quantum(cfg: SearchConfig | None = None) -> list[VerifyResult]:
-    _, bulk_cfg, seed = _configs(cfg)
+def check_classical_quantum(overrides: dict | None = None) -> list[VerifyResult]:
+    _, bulk_cfg, seed = _configs(overrides)
     rng = np.random.default_rng(seed + 101)
     dev_formula = dev_cd = max_neg = max_d1 = 0.0
     count_at_one = 0
@@ -179,8 +195,8 @@ def check_classical_quantum(cfg: SearchConfig | None = None) -> list[VerifyResul
     ]
 
 
-def check_classical_classical(cfg: SearchConfig | None = None) -> list[VerifyResult]:
-    _, bulk_cfg, seed = _configs(cfg)
+def check_classical_classical(overrides: dict | None = None) -> list[VerifyResult]:
+    _, bulk_cfg, seed = _configs(overrides)
     rng = np.random.default_rng(seed + 202)
     dev_cov = dev_cd = max_neg = max_d1 = 0.0
     for _ in range(200):
@@ -203,8 +219,8 @@ def check_classical_classical(cfg: SearchConfig | None = None) -> list[VerifyRes
     ]
 
 
-def check_discordant_separable(cfg: SearchConfig | None = None) -> list[VerifyResult]:
-    spot_cfg, _, _ = _configs(cfg)
+def check_discordant_separable(overrides: dict | None = None) -> list[VerifyResult]:
+    spot_cfg, _, _ = _configs(overrides)
     dev_m = dev_c = dev_d1 = max_neg = 0.0
     strict_failures = 0
     for w in np.linspace(0.05, 0.45, 9):
@@ -233,8 +249,8 @@ def check_discordant_separable(cfg: SearchConfig | None = None) -> list[VerifyRe
     ]
 
 
-def check_entangled_family(cfg: SearchConfig | None = None) -> list[VerifyResult]:
-    spot_cfg, _, _ = _configs(cfg)
+def check_entangled_family(overrides: dict | None = None) -> list[VerifyResult]:
+    spot_cfg, _, _ = _configs(overrides)
     dev_n = dev_d1 = dev_m = dev_c = 0.0
     chain_failures = 0
     for k in range(1, 51):
@@ -269,8 +285,8 @@ def check_entangled_family(cfg: SearchConfig | None = None) -> list[VerifyResult
     ]
 
 
-def check_bell_diagonal(cfg: SearchConfig | None = None) -> list[VerifyResult]:
-    spot_cfg, bulk_cfg, seed = _configs(cfg)
+def check_bell_diagonal(overrides: dict | None = None) -> list[VerifyResult]:
+    spot_cfg, bulk_cfg, seed = _configs(overrides)
     rng = np.random.default_rng(seed + 303)
     dev_closed = dev_oracle = dev_m = 0.0
     chain_failures = 0
@@ -303,8 +319,8 @@ def check_bell_diagonal(cfg: SearchConfig | None = None) -> list[VerifyResult]:
     ]
 
 
-def check_global_bound(cfg: SearchConfig | None = None) -> list[VerifyResult]:
-    _, _, seed = _configs(cfg)
+def check_global_bound(overrides: dict | None = None) -> list[VerifyResult]:
+    _, _, seed = _configs(overrides)
     rng = np.random.default_rng(seed + 404)
     worst = 0.0
     for _ in range(10_000):
@@ -317,33 +333,38 @@ def check_global_bound(cfg: SearchConfig | None = None) -> list[VerifyResult]:
     ]
 
 
-def check_oracle_consistency(cfg: SearchConfig | None = None) -> list[VerifyResult]:
-    spot_cfg, bulk_cfg, seed = _configs(cfg)
+def check_oracle_consistency(overrides: dict | None = None) -> list[VerifyResult]:
+    _, bulk_cfg, seed = _configs(overrides)
     rng = np.random.default_rng(seed + 505)
     dev_mmc = dev_d1 = 0.0
     for _ in range(500):
         params = random_x_params(rng)
         rho = x_state(params)
         dev_mmc = max(dev_mmc, abs(mmc_oracle(rho, bulk_cfg) - mmc(rho)))
-        closed, _ = d1_x_state(params, bulk_cfg)
+        closed, _ = d1_x_state(params)
         dev_d1 = max(dev_d1, abs(closed - d1_oracle(rho, bulk_cfg)))
-    degenerate = XStateParams.from_density_matrix(bell_diagonal(0.4, -0.4, 0.4))
-    value, method = d1_x_state(degenerate, spot_cfg)
+    value, _ = d1_x_state(XStateParams.from_density_matrix(bell_diagonal(0.4, -0.4, 0.4)))
+    # Werner-type states (x = 0, |alpha1| = |alpha2| = |alpha3| = c) and the
+    # near-Werner family (x small, |alpha_i| = 1/3), where the closed form's
+    # denominator used to cancel: d1 = c exactly.
+    dev_exact = 0.0
+    for c in np.linspace(0.05, 1.0, 20):
+        for signs in _BELL_SIGNS:
+            werner = XStateParams.from_density_matrix(bell_diagonal(*(c * signs)))
+            dev_exact = max(dev_exact, abs(d1_x_state(werner)[0] - c))
+    for x in (1e-5, 1e-6, 1e-7, 3e-8, 1e-9, 0.0):
+        near = near_werner_params(x)
+        dev_exact = max(dev_exact, abs(d1_x_state(near)[0] - 1.0 / 3.0))
     return [
         VerifyResult("oracle.mmc_matches_closed_form", 0.0, dev_mmc, 1e-9),
         VerifyResult("oracle.d1_closed_matches_oracle", 0.0, dev_d1, ORACLE_TOL),
         VerifyResult("oracle.degenerate_case_value", 0.4, value, ORACLE_TOL),
-        VerifyResult(
-            "oracle.degenerate_case_uses_fallback",
-            1.0,
-            1.0 if method == "oracle" else 0.0,
-            0.0,
-        ),
+        VerifyResult("oracle.degenerate_case_exact", 0.0, dev_exact, CLOSED_TOL),
     ]
 
 
-def check_conjecture_sweep(cfg: SearchConfig | None = None) -> list[VerifyResult]:
-    _, bulk_cfg, seed = _configs(cfg)
+def check_conjecture_sweep(overrides: dict | None = None) -> list[VerifyResult]:
+    _, bulk_cfg, seed = _configs(overrides)
     rng = np.random.default_rng(seed + 606)
     pre_t, pre_p = np.meshgrid(
         np.linspace(0.0, math.pi / 4.0, 8),
@@ -382,13 +403,18 @@ ALL_CHECKS = [
 ]
 
 
-def run_checks(prefix: str | None = None, cfg: SearchConfig | None = None) -> list[VerifyResult]:
-    """Run all (or prefix-filtered) check groups and return their results."""
+def run_checks(prefix: str | None = None, overrides: dict | None = None) -> list[VerifyResult]:
+    """Run all (or prefix-filtered) check groups and return their results.
+
+    ``overrides`` maps SearchConfig fields (``coarse_grid``, ``refine_iters``,
+    ``seed``) to values that replace the suite's own settings field by field.
+    """
+    _configs(overrides)  # an invalid override fails before any group runs
     results: list[VerifyResult] = []
     for name, fn in ALL_CHECKS:
         if prefix and not (name.startswith(prefix) or prefix.startswith(name)):
             continue
-        results.extend(fn(cfg))
+        results.extend(fn(overrides))
     if prefix:
         results = [r for r in results if r.check_id.startswith(prefix)]
     return results

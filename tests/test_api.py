@@ -1,0 +1,58 @@
+"""The part of the public API that the benchmark harness in perfbench/ uses.
+
+perfbench imports these names from ``qcorr`` and calls them with the shapes
+below; an API trim that breaks either makes every benchmark run fail.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import qcorr
+from qcorr.measures import X_PATTERN_TOL
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _qcorr_imports(path: Path) -> set[tuple[str, str]]:
+    """(module, name) for every ``from qcorr... import name`` in the file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "qcorr"
+        for alias in node.names
+    }
+
+
+@pytest.mark.parametrize("script", ["workloads.py", "streams.py"])
+def test_perfbench_imports_exist(script):
+    imports = _qcorr_imports(PERFBENCH / script)
+    assert imports
+    for module, name in imports:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_call_shapes():
+    n_theta, n_phi = qcorr.DEFAULT_SEARCH.coarse_grid
+    assert n_theta > 0 and n_phi > 0
+    assert isinstance(X_PATTERN_TOL, float)
+
+    rho = qcorr.bell_diagonal(0.5, -0.3, 0.2)
+    assert qcorr.d1_oracle(rho) == pytest.approx(0.3, abs=2e-3)
+
+    result = qcorr.d1_x_state(qcorr.XStateParams.from_density_matrix(rho))
+    assert isinstance(result, tuple) and len(result) == 2
+    assert result == (pytest.approx(0.3, abs=1e-12), "closed_form")
+
+    thetas = np.array([0.0, np.pi / 8.0])
+    phis = np.array([0.0, np.pi / 2.0])
+    norms = qcorr.disturbance_norms(rho.mat, thetas, phis)
+    assert norms.shape == (2,)
+
+    checks = qcorr.run_checks(prefix="rho_d.spot")
+    assert [r.check_id for r in checks] == ["rho_d.spot_d1", "rho_d.spot_mmc"]
+    assert all(r.passed for r in checks)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from qcorr import cli
-from qcorr.verify import VerifyResult
+from qcorr.verify import VerifyResult, near_werner_params
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +80,16 @@ class TestMeasures:
         assert code == 3
         assert out == ""
         assert "non-finite" in err
+
+    def test_near_werner_x_record(self, capsys):
+        # x = 3e-8 with |alpha_i| = 1/3; the closed form's old denominator cancelled here
+        params = dataclasses.asdict(near_werner_params(3e-8))
+        record = json.dumps({"family": "x", "params": params})
+        code, out, _ = run_cli(capsys, "measures", "--inline", record)
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["d1_method"] == "closed_form"
+        assert rec["d1"] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_requires_exactly_one_source(self, capsys):
         code, _, _ = run_cli(capsys, "measures")
@@ -196,10 +207,16 @@ class TestVerify:
 
     def test_failure_exit_4(self, capsys, monkeypatch):
         broken = [VerifyResult("fabricated.check", 1.0, 0.0, 1e-12)]
-        monkeypatch.setattr(cli, "run_checks", lambda prefix=None, cfg=None: broken)
+        monkeypatch.setattr(cli, "run_checks", lambda prefix=None, overrides=None: broken)
         code, out, _ = run_cli(capsys, "verify")
         assert code == 4
         assert "FAIL fabricated.check" in out
+
+    def test_default_seed_flag_changes_nothing(self, capsys):
+        # a flag overrides only its own field; the bulk ensembles keep their grid
+        _, plain, _ = run_cli(capsys, "verify", "--filter", "cq")
+        _, seeded, _ = run_cli(capsys, "verify", "--filter", "cq", "--seed", "0")
+        assert seeded == plain
 
     def test_grid_flag_parsing(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--filter", "rho_d.spot", "--grid", "32x64")

@@ -6,10 +6,9 @@ from hypothesis.extra.numpy import arrays
 
 from qcorr import linalg
 from qcorr.errors import DimensionError, HermiticityError
-from qcorr.states import bell_diagonal, partial_transpose, pure_state
+from qcorr.states import partial_transpose, pure_state
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
@@ -54,41 +53,6 @@ class TestKron:
         lhs = linalg.kron(a, b) @ linalg.kron(c, d)
         rhs = linalg.kron(a @ c, b @ d)
         assert np.abs(lhs - rhs).max() <= 1e-12
-
-
-class TestHermitianEigenvalues:
-    def test_identity(self):
-        assert np.allclose(linalg.hermitian_eigenvalues(np.eye(4)), np.ones(4))
-
-    def test_pauli_spectrum(self):
-        assert np.allclose(linalg.hermitian_eigenvalues(SIGMA1), [1.0, -1.0])
-
-    def test_bell_diagonal_spectrum(self):
-        eigs = linalg.hermitian_eigenvalues(bell_diagonal(0.5, -0.3, 0.2).mat)
-        assert np.allclose(eigs, [0.5, 0.25, 0.15, 0.1], atol=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(HermiticityError):
-            linalg.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_descending_order_and_residual(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            h = (m + m.conj().T) / 2
-            eigs = linalg.hermitian_eigenvalues(h)
-            assert np.all(np.diff(eigs) <= 0)
-            # each reported eigenvalue admits a unit eigenvector with small residual
-            ref_vals, ref_vecs = np.linalg.eigh(h)
-            assert np.allclose(np.sort(eigs), ref_vals, atol=1e-12)
-            for lam, vec in zip(ref_vals, ref_vecs.T):
-                assert np.linalg.norm(h @ vec - lam * vec) <= 1e-10
-
-    @given(hermitian_matrices)
-    @settings(max_examples=100)
-    def test_eigenvalue_sum_is_trace(self, h):
-        eigs = linalg.hermitian_eigenvalues(h)
-        assert abs(eigs.sum() - np.trace(h).real) <= 1e-10
 
 
 class TestTraceNorm:
@@ -150,30 +114,8 @@ class TestSingularValues3:
 
 
 class TestBasicAlgebra:
-    def test_trace_identity(self):
-        assert linalg.trace(np.eye(4)) == 4.0
-
-    def test_adjoint_involution(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert np.array_equal(linalg.adjoint(linalg.adjoint(a)), a)
-
-    def test_pauli_product(self):
-        assert np.allclose(linalg.multiply(SIGMA1, SIGMA2), 1j * SIGMA3)
-
-    def test_add_subtract_scale(self):
-        a = np.eye(2)
-        b = SIGMA3
-        assert np.allclose(linalg.add(a, b), np.diag([2.0, 0.0]))
-        assert np.allclose(linalg.subtract(a, b), np.diag([0.0, 2.0]))
-        assert np.allclose(linalg.scale(2j, a), 2j * np.eye(2))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            linalg.add(np.eye(2), np.eye(4))
-        with pytest.raises(DimensionError):
-            linalg.multiply(np.eye(4), np.eye(2))
-
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
-            linalg.trace(np.zeros((2, 3)))
+            linalg.kron(np.zeros((2, 3)), np.eye(2))
+        with pytest.raises(DimensionError):
+            linalg.trace_norm_hermitian(np.zeros((2, 3)))

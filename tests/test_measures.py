@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qcorr.errors import DegenerateFormulaError
 from qcorr.linalg import kron, trace_norm_hermitian
 from qcorr.measures import (
     MeasureReport,
@@ -30,9 +31,15 @@ from qcorr.states import (
     x_state,
 )
 from qcorr.stateio import report_to_record, state_from_record
-from qcorr.verify import random_bloch_vector, random_density_matrix, random_x_params
+from qcorr.verify import (
+    CLOSED_TOL,
+    near_werner_params,
+    random_bloch_vector,
+    random_density_matrix,
+    random_x_params,
+)
 
-BULK = SearchConfig(coarse_grid=(32, 64), refine_iters=40, refine_shrink=0.5, seed=0)
+BULK = SearchConfig(coarse_grid=(32, 64), refine_iters=40, seed=0)
 
 
 def random_local_unitary(rng):
@@ -154,6 +161,23 @@ class TestNegativity:
             assert negativity(rho_theta(theta)) > 0
 
 
+def _x_zero(r11, r33, f14, f23) -> XStateParams:
+    # rho11 + rho22 = 1/2, so x = 0; f14 and f23 scale the coherences inside PSD.
+    r22, r44 = 0.5 - r11, 0.5 - r33
+    return XStateParams(
+        rho11=r11,
+        rho22=r22,
+        rho33=r33,
+        rho44=r44,
+        rho14=f14 * math.sqrt(r11 * r44),
+        rho23=f23 * math.sqrt(r22 * r33),
+    )
+
+
+_unit = st.floats(0.0, 1.0)
+x_zero_params = st.builds(_x_zero, st.floats(0.0, 0.5), st.floats(0.0, 0.5), _unit, _unit)
+
+
 class TestD1XState:
     def test_rho_d_spot(self):
         value, method = d1_x_state(XStateParams.from_density_matrix(rho_d(0.1, 0.2)))
@@ -177,18 +201,19 @@ class TestD1XState:
             value, _ = d1_x_state(XStateParams.from_density_matrix(rho))
             assert value == pytest.approx(np.sort(np.abs(c))[1], abs=1e-12)
 
-    def test_degenerate_case_routes_to_oracle(self):
+    def test_degenerate_case_is_exact(self):
         params = XStateParams.from_density_matrix(bell_diagonal(0.4, -0.4, 0.4))
-        value, method = d1_x_state(params, BULK)
-        assert method == "oracle"
-        assert value == pytest.approx(0.4, abs=2e-3)
+        value, method = d1_x_state(params)
+        assert method == "closed_form"
+        assert value == pytest.approx(0.4, abs=1e-12)
 
     def test_rho_d_quarter_w_is_zero_without_degeneracy(self):
         value, method = d1_x_state(XStateParams.from_density_matrix(rho_d(0.25, 0.2)))
         assert value == 0.0
         assert method == "closed_form"
 
-    def test_near_degenerate_denominator_raises(self):
+    def test_near_degenerate_denominator_value(self):
+        # x = 1e-8 and |alpha_i| = 0.2: the old num / den form cancelled here
         params = XStateParams(
             rho11=0.300000005,
             rho22=0.2,
@@ -197,8 +222,33 @@ class TestD1XState:
             rho14=0.1,
             rho23=0.0,
         )
-        with pytest.raises(DegenerateFormulaError):
-            d1_x_state(params)
+        value, method = d1_x_state(params)
+        assert method == "closed_form"
+        assert value == pytest.approx(0.2, abs=1e-12)
+
+    @pytest.mark.parametrize("x", [1e-5, 1e-7, 3e-8])
+    def test_near_werner_family_is_exact(self, x):
+        value, method = d1_x_state(near_werner_params(x))
+        assert method == "closed_form"
+        assert value == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    @given(x_zero_params)
+    @settings(max_examples=300, deadline=None)
+    @example(XStateParams.from_density_matrix(bell_diagonal(0.4, -0.4, 0.4)))
+    @example(XStateParams.from_density_matrix(bell_diagonal(-0.7, -0.7, -0.7)))
+    @example(XStateParams.from_density_matrix(bell_diagonal(0.25, 0.25, -0.25)))
+    @example(near_werner_params(0.0))
+    def test_x_zero_is_median_alpha(self, params):
+        # x = 0 makes A's marginal maximally mixed, so d1 is the middle singular
+        # value of the diagonal correlation tensor (Courant-Fischer).
+        alpha = (
+            2.0 * (params.rho23 + params.rho14),
+            2.0 * (params.rho23 - params.rho14),
+            1.0 - 2.0 * (params.rho22 + params.rho33),
+        )
+        value, method = d1_x_state(params)
+        assert method == "closed_form"
+        assert abs(value - float(np.median(np.abs(alpha)))) <= CLOSED_TOL
 
     def test_matches_oracle_on_random_x_states(self):
         rng = np.random.default_rng(61)

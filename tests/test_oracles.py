@@ -31,7 +31,7 @@ from qcorr.states import (
 from qcorr.linalg import kron
 from qcorr.verify import CLOSED_TOL, random_bloch_vector, random_density_matrix
 
-BULK = SearchConfig(coarse_grid=(32, 64), refine_iters=40, refine_shrink=0.5, seed=0)
+BULK = SearchConfig(coarse_grid=(32, 64), refine_iters=40, seed=0)
 
 
 class TestSearchConfig:
@@ -49,10 +49,6 @@ class TestSearchConfig:
     def test_refine_floor(self):
         with pytest.raises(ValueError):
             SearchConfig(refine_iters=10)
-
-    def test_shrink_range(self):
-        with pytest.raises(ValueError):
-            SearchConfig(refine_shrink=1.0)
 
 
 class TestMeasurementMap:
