@@ -345,8 +345,8 @@ def check_oracle_consistency(overrides: dict | None = None) -> list[VerifyResult
         dev_d1 = max(dev_d1, abs(closed - d1_oracle(rho, bulk_cfg)))
     value, _ = d1_x_state(XStateParams.from_density_matrix(bell_diagonal(0.4, -0.4, 0.4)))
     # Werner-type states (x = 0, |alpha1| = |alpha2| = |alpha3| = c) and the
-    # near-Werner family (x small, |alpha_i| = 1/3), where the closed form's
-    # denominator used to cancel: d1 = c exactly.
+    # near-Werner family (x small, |alpha_i| = 1/3), where a plain quotient
+    # form of the closed form cancels: d1 = c exactly.
     dev_exact = 0.0
     for c in np.linspace(0.05, 1.0, 20):
         for signs in _BELL_SIGNS:

@@ -82,7 +82,7 @@ class TestMeasures:
         assert "non-finite" in err
 
     def test_near_werner_x_record(self, capsys):
-        # x = 3e-8 with |alpha_i| = 1/3; the closed form's old denominator cancelled here
+        # x = 3e-8 with |alpha_i| = 1/3, next to the degenerate set; d1 = 1/3
         params = dataclasses.asdict(near_werner_params(3e-8))
         record = json.dumps({"family": "x", "params": params})
         code, out, _ = run_cli(capsys, "measures", "--inline", record)

@@ -213,7 +213,7 @@ class TestD1XState:
         assert method == "closed_form"
 
     def test_near_degenerate_denominator_value(self):
-        # x = 1e-8 and |alpha_i| = 0.2: the old num / den form cancelled here
+        # x = 1e-8 and |alpha_i| = 0.2, next to the degenerate set; d1 = 0.2
         params = XStateParams(
             rho11=0.300000005,
             rho22=0.2,
