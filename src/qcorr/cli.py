@@ -9,11 +9,9 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 
 from .errors import RecordError, StateError
 from .measures import full_report
-from .oracles import DEFAULT_SEARCH
 from .stateio import (
     report_to_record,
     state_from_record,
@@ -46,9 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--inline", help="JSON record given directly on the command line")
         if with_out:
             p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--grid", type=_grid, help="coarse search grid, e.g. 64x128")
-        p.add_argument("--refine", type=int, help="pattern-search refinement iterations")
-        p.add_argument("--seed", type=int, help="seed for randomized search starts / ensembles")
 
     p_measures = sub.add_parser("measures", help="report all measures for one state")
     add_common(p_measures)
@@ -98,23 +93,21 @@ def _load_record(args) -> dict:
 
 def _cmd_measures(args) -> int:
     record = _load_record(args)
-    cfg = replace(DEFAULT_SEARCH, **_search_overrides(args))
     rho = state_from_record(record)
-    report = full_report(rho, cfg=cfg)
+    report = full_report(rho)
     print(json.dumps(report_to_record(report)))
     return 0
 
 
 def _cmd_sweep(args) -> int:
     record = _load_record(args)
-    cfg = replace(DEFAULT_SEARCH, **_search_overrides(args))
     spec = sweep_from_record(record)
     rows = []
     for value in spec.values():
         row = {"value": repr(float(value)), "error": ""}
         try:
             rho = state_from_record(spec.record_for(value))
-            rep = full_report(rho, cfg=cfg)
+            rep = full_report(rho)
             row.update(
                 mmc=repr(rep.mmc),
                 correlation_distance=repr(rep.correlation_distance),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import singular_values_3, trace_norm_hermitian
-from .oracles import SearchConfig, bloch_matrix, d1_oracle, frame_norms
+from .oracles import bloch_matrix, d1_oracle, frame_norms
 from .states import (
     DensityMatrix,
     XStateParams,
@@ -131,19 +131,20 @@ def _d1_eigen_axes(rho: DensityMatrix) -> float:
     return float(frame_norms(r, e[:, [1, 0, 0]].T, e[:, [2, 2, 1]].T).min())
 
 
-def full_report(rho: DensityMatrix, cfg: SearchConfig | None = None) -> MeasureReport:
+def full_report(rho: DensityMatrix) -> MeasureReport:
     """Compute all four measures for one state.
 
     d1 takes the closed-form route whenever the matrix has the X sparsity
     pattern (off-pattern entries below 1e-12); anything borderline goes to the
-    slower direct minimization, which also tries the eigen-axes of M.
+    default ``d1_oracle`` search, which also tries the eigen-axes of M.  A
+    finer search of one state is ``d1_oracle(rho, SearchConfig(...))``.
     """
     t = singular_values_3(covariance_matrix(rho))
     a, b = bloch_vectors(rho)
     if is_x_shaped(rho.mat, X_PATTERN_TOL):
         d1, method = d1_x_state(XStateParams.from_density_matrix(rho))
     else:
-        d1, method = min(d1_oracle(rho, cfg), _d1_eigen_axes(rho)), "oracle"
+        d1, method = min(d1_oracle(rho), _d1_eigen_axes(rho)), "oracle"
     return MeasureReport(
         mmc=float(t[0]),
         correlation_distance=_distance_from_singular_values(t),

@@ -44,6 +44,9 @@ def test_call_shapes():
     rho = qcorr.bell_diagonal(0.5, -0.3, 0.2)
     assert qcorr.d1_oracle(rho) == pytest.approx(0.3, abs=2e-3)
 
+    report = qcorr.full_report(rho)
+    assert (report.d1, report.d1_method) == (pytest.approx(0.3, abs=1e-12), "closed_form")
+
     result = qcorr.d1_x_state(qcorr.XStateParams.from_density_matrix(rho))
     assert isinstance(result, tuple) and len(result) == 2
     assert result == (pytest.approx(0.3, abs=1e-12), "closed_form")

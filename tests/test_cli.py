@@ -227,6 +227,20 @@ class TestVerify:
             cli.main(["verify", "--grid", "nonsense"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["measures", "--grid", "64x128"],
+            ["measures", "--seed", "0"],
+            ["sweep", "--refine", "40"],
+        ],
+    )
+    def test_search_flags_are_verify_only(self, capsys, argv):
+        record = '{"family": "pure", "params": {"n": 0.6}}'
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv + ["--inline", record])
+        assert err.value.code == 2
+
     def test_undersized_grid_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--filter", "rho_d.spot", "--grid", "8x8")
         assert code == 2

@@ -287,12 +287,12 @@ class TestFullReport:
         assert full_report(bell_diagonal(0.5, -0.3, 0.2)).d1_method == "closed_form"
         rng = np.random.default_rng(67)
         rho = random_density_matrix(rng, components=4)
-        assert full_report(rho, cfg=BULK).d1_method == "oracle"
+        assert full_report(rho).d1_method == "oracle"
 
     def test_report_invariants_on_random_states(self):
         rng = np.random.default_rng(71)
         for _ in range(50):
-            rep = full_report(random_density_matrix(rng), cfg=BULK)
+            rep = full_report(random_density_matrix(rng))
             assert rep.mmc == rep.singular_values[0]
             assert rep.mmc - 1e-12 <= rep.correlation_distance <= 1.5 * rep.mmc + 1e-12
 
@@ -356,7 +356,7 @@ class TestZeroDiscordReports:
         rng = np.random.default_rng(151)
         for _ in range(20):
             rho = random_density_matrix(rng)
-            assert full_report(rho, cfg=BULK).d1 <= d1_oracle(rho, BULK)
+            assert full_report(rho).d1 <= d1_oracle(rho)
 
     def test_repeated_reports_bit_identical(self):
         rng = np.random.default_rng(157)

@@ -118,7 +118,7 @@ class TestFrameNorms:
             kernel = frame_norms(bloch_matrix(rho), u, v)
             assert np.abs(kernel - disturbance_norms(rho, *_angles(n))).max() <= CLOSED_TOL
 
-    @pytest.mark.parametrize("shape", [(64, 128), (32, 64)])
+    @pytest.mark.parametrize("shape", [(64, 128), (32, 64), (8, 16)])
     def test_matches_reference_on_grid_nodes(self, shape):
         n_theta, n_phi = shape
         n, u, v, _ = _grid_frames(n_theta, n_phi)
