@@ -1,0 +1,39 @@
+"""`d1_oracle` bit for bit on a committed table (tests/data/d1_oracle_bits.json).
+
+The golden corpus holds search values only within ORACLE_TOL; this table holds
+the exact bits of the oracle on seeded non-X states, at the default search, at
+32x64/60 and at 32x64/60 with ``stop_below``, so a rewrite of the kernel or the
+refinement that changes any rounding fails here.  make_d1_oracle_bits.py next to
+the table wrote it.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from qcorr.oracles import SearchConfig, d1_oracle
+from qcorr.stateio import state_from_record
+from qcorr.states import is_x_shaped
+
+CASES = json.loads(
+    (Path(__file__).with_name("data") / "d1_oracle_bits.json").read_text(encoding="utf-8")
+)
+SMALL = SearchConfig(coarse_grid=(32, 64), refine_iters=60)
+
+
+def test_table_covers_non_x_states():
+    assert len(CASES) == 60
+    assert not any(is_x_shaped(state_from_record(c["record"]).mat) for c in CASES)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_d1_oracle_bit_exact(case):
+    rho = state_from_record(case["record"])
+    bits = case["d1_oracle"]
+    stop_below = float.fromhex(bits["stop_below"])
+    assert d1_oracle(rho).hex() == bits["default"]
+    assert d1_oracle(rho, SMALL).hex() == bits["small"]
+    stopped = d1_oracle(rho, SMALL, stop_below=stop_below)
+    assert stopped.hex() == bits["small_stopped"]
+    assert stopped <= stop_below
