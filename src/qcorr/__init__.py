@@ -8,7 +8,6 @@ negativity of the partial transpose, and the trace-norm measurement discord.
 
 from .errors import (
     DimensionError,
-    HermiticityError,
     QcorrError,
     RecordError,
     StateError,
@@ -31,10 +30,8 @@ from .oracles import (
     DEFAULT_SEARCH,
     SearchConfig,
     classical_cov,
-    classical_cov_from_moments,
     d1_oracle,
     disturbance_norms,
-    measurement_map,
     mmc_oracle,
 )
 from .states import (
@@ -59,10 +56,8 @@ from .states import (
     x_state,
 )
 from .stateio import (
-    SweepSpec,
     report_to_record,
     state_from_record,
-    state_to_record,
     sweep_from_record,
 )
 from .verify import VerifyResult, format_line, run_checks
@@ -73,21 +68,18 @@ __all__ = [
     "DEFAULT_SEARCH",
     "DensityMatrix",
     "DimensionError",
-    "HermiticityError",
     "MeasureReport",
     "ProbTable2x2",
     "QcorrError",
     "RecordError",
     "SearchConfig",
     "StateError",
-    "SweepSpec",
     "VerifyResult",
     "XStateParams",
     "bell_diagonal",
     "bloch_vectors",
     "cc_state",
     "classical_cov",
-    "classical_cov_from_moments",
     "correlation_distance",
     "correlation_tensor",
     "covariance_matrix",
@@ -99,7 +91,6 @@ __all__ = [
     "full_report",
     "is_x_shaped",
     "kron",
-    "measurement_map",
     "mmc",
     "mmc_oracle",
     "negativity",
@@ -116,7 +107,6 @@ __all__ = [
     "run_checks",
     "singular_values_3",
     "state_from_record",
-    "state_to_record",
     "sweep_from_record",
     "trace_norm_hermitian",
     "x_state",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, HermiticityError
+from .errors import DimensionError, HermiticityError, StateError
 
 HERMITICITY_TOL = 1e-12
 
@@ -59,14 +59,16 @@ def singular_values_3(q) -> np.ndarray:
     """Singular values of a real 3x3 matrix, descending.
 
     Computed as the square roots of the spectrum of ``q^T q``; eigenvalues in
-    ``[-1e-14, 0)`` are clamped to zero, anything more negative is an error.
+    ``[-1e-14, 0)`` are clamped to zero.  Anything more negative raises
+    :class:`StateError`: ``q`` is a state's covariance matrix, and no valid
+    state gives one.
     """
     q = np.asarray(q, dtype=float)
     if q.shape != (3, 3):
         raise DimensionError(f"expected a 3x3 real matrix, got shape {q.shape}")
     gram = np.linalg.eigvalsh(q.T @ q)[::-1]
     if gram[-1] < -1e-14:
-        raise ArithmeticError(
+        raise StateError(
             f"Gram eigenvalue {gram[-1]:.3e} is negative beyond roundoff"
         )
     return np.sqrt(np.clip(gram, 0.0, None))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import StateError
 from .linalg import singular_values_3, trace_norm_hermitian
 from .oracles import bloch_matrix, d1_oracle, frame_norms
 from .states import (
@@ -44,12 +45,13 @@ class MeasureReport:
     bloch_b: tuple[float, float, float]
 
     def __post_init__(self):
+        # Both bounds hold on every valid state; StateError marks numbers that broke them.
         if abs(self.mmc - self.singular_values[0]) > 1e-12:
-            raise ValueError("mmc must equal the largest singular value")
+            raise StateError("mmc must equal the largest singular value")
         low = self.mmc - 1e-12
         high = 1.5 * self.mmc + 1e-12
         if not low <= self.correlation_distance <= high:
-            raise ValueError(
+            raise StateError(
                 "correlation distance must lie between mmc and 1.5*mmc, got "
                 f"{self.correlation_distance} for mmc {self.mmc}"
             )
@@ -128,7 +130,7 @@ def _d1_eigen_axes(rho: DensityMatrix) -> float:
     """
     r = bloch_matrix(rho)
     _, e = np.linalg.eigh(r @ r.T)
-    return float(frame_norms(r, e[:, [1, 0, 0]].T, e[:, [2, 2, 1]].T).min())
+    return float(frame_norms(r, e[:, [1, 0, 0]], e[:, [2, 2, 1]]).min())
 
 
 def full_report(rho: DensityMatrix) -> MeasureReport:

@@ -7,10 +7,12 @@ optimization from a grid of unit-vector starts.  Results are reproducible
 bit-for-bit for a fixed :class:`SearchConfig`.
 
 The grid and the refinement evaluate the disturbance with :func:`frame_norms`,
-a closed expression in R = [a | T] and an orthonormal frame normal to the
-axis.  :func:`disturbance_norms` evaluates the same norm from the definition,
-by eigenvalues of rho - P(rho); it is the reference the kernel is tested
-against.
+a closed expression in R = [a | T] and an orthonormal frame (u, v) normal to
+the axis.  A frame is passed as its three component columns: the grid as
+(3, K) arrays, one column per node, and the refinement as one frame of plain
+floats per compass candidate, through the same kernel and the same rounding.
+:func:`disturbance_norms` evaluates the same norm from the definition, by
+eigenvalues of rho - P(rho); it is the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -104,25 +106,27 @@ def bloch_matrix(rho) -> np.ndarray:
     return np.column_stack([a, correlation_tensor(rho)])
 
 
-def _rows_times(frame: np.ndarray, r: np.ndarray) -> np.ndarray:
-    # frame @ r written out, so the sums never depend on BLAS threading.
-    return frame[:, 0, None] * r[0] + frame[:, 1, None] * r[1] + frame[:, 2, None] * r[2]
+def frame_norms(r: np.ndarray, u, v):
+    """Trace norms of rho - P_n(rho), from R = ``bloch_matrix(rho)``.
 
-
-def frame_norms(r: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Trace norms of rho - P_n(rho), one per frame, from R = ``bloch_matrix(rho)``.
-
-    Row k of ``u`` and ``v`` is an orthonormal frame of the plane normal to
-    measurement axis n_k.  With p = u^T R, q = v^T R and the Lorentz product
-    <x, y> = x0 y0 - x.y, the norm is
+    ``u = (u0, u1, u2)`` and ``v = (v0, v1, v2)`` are the components of an
+    orthonormal frame of the plane normal to the measurement axis n.  Each
+    component is either an array of K frames, giving K norms, or a float,
+    giving the norm of one frame.  With p = u^T R, q = v^T R and the Lorentz
+    product <x, y> = x0 y0 - x.y, the norm is
     sqrt((|p|^2 + |q|^2 + hypot(<p,p> - <q,q>, 2<p,q>)) / 2), a sum of
     non-negative terms with no cancellation (Ciccarello, Tufarelli &
-    Giovannetti, NJP 16, 013038, 2014).
+    Giovannetti, NJP 16, 013038, 2014).  Every sum is written out term by
+    term, so arrays and floats round alike and nothing depends on BLAS.
     """
-    p = _rows_times(u, r)
-    q = _rows_times(v, r)
-    p0, q0, pv, qv = p[:, 0], q[:, 0], p[:, 1:], q[:, 1:]
-    pp, qq, pq = (pv * pv).sum(-1), (qv * qv).sum(-1), (pv * qv).sum(-1)
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    cols = r.T.tolist()
+    p0, p1, p2, p3 = [u0 * x + u1 * y + u2 * z for x, y, z in cols]
+    q0, q1, q2, q3 = [v0 * x + v1 * y + v2 * z for x, y, z in cols]
+    pp = p1 * p1 + p2 * p2 + p3 * p3
+    qq = q1 * q1 + q2 * q2 + q3 * q3
+    pq = p1 * q1 + p2 * q2 + p3 * q3
     euclid = p0 * p0 + pp + q0 * q0 + qq
     lorentz = np.hypot(p0 * p0 - pp - q0 * q0 + qq, 2.0 * (p0 * q0 - pq))
     return np.sqrt(0.5 * (euclid + lorentz))
@@ -130,32 +134,44 @@ def frame_norms(r: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _grid_frames(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Axes n, frames (u, v) and first refine step of the hemisphere search grid."""
+    """Axes n, frames (u, v) and first refine step of the hemisphere search grid.
+
+    Each of n, u and v is a (3, K) array: row i holds component i of all K
+    grid nodes, the layout :func:`frame_norms` takes.
+    """
     polar = 2.0 * np.linspace(0.0, math.pi / 4.0, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
     pg, ph = np.meshgrid(polar, phis, indexing="ij")
     sp, cp, sph, cph = np.sin(pg), np.cos(pg), np.sin(ph), np.cos(ph)
-    n = np.stack([sp * cph, sp * sph, cp], axis=-1).reshape(-1, 3)
-    u = np.stack([cp * cph, cp * sph, -sp], axis=-1).reshape(-1, 3)
-    v = np.stack([-sph, cph, np.zeros_like(ph)], axis=-1).reshape(-1, 3)
+    n = np.stack([sp * cph, sp * sph, cp]).reshape(3, -1)
+    u = np.stack([cp * cph, cp * sph, -sp]).reshape(3, -1)
+    v = np.stack([-sph, cph, np.zeros_like(ph)]).reshape(3, -1)
     for arr in (n, u, v):
         arr.setflags(write=False)
     return n, u, v, max(polar[1] - polar[0], phis[1] - phis[0])
 
 
-def _compass_frames(n, u, v, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _turn(a, b, s: float, c: float) -> tuple[float, float, float]:
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (c * (a0 + s * b0), c * (a1 + s * b1), c * (a2 + s * b2))
+
+
+def _compass_frames(n, u, v, step: float) -> list[tuple]:
     """Axes and frames one compass step of length ``step`` away: +u, -u, +v, -v.
 
-    The step rotates the frame with the axis, n' = c (n +- s u),
-    u' = c (u -+ s n), v' = v with c = 1 / sqrt(1 + s^2), so no frame is
-    rebuilt from scratch.
+    ``n``, ``u`` and ``v`` are float triples; so is every vector returned, as
+    four (n', u', v') candidates.  The step rotates the frame with the axis,
+    n' = c (n +- s u), u' = c (u -+ s n), v' = v with c = 1 / sqrt(1 + s^2),
+    so no frame is rebuilt from scratch.
     """
     c = 1.0 / math.sqrt(1.0 + step * step)
-    sn = step * n
-    cand_n = c * np.stack([n + step * u, n - step * u, n + step * v, n - step * v])
-    cand_u = np.stack([c * (u - sn), c * (u + sn), u, u])
-    cand_v = np.stack([v, v, c * (v - sn), c * (v + sn)])
-    return cand_n, cand_u, cand_v
+    return [
+        (_turn(n, u, step, c), _turn(u, n, -step, c), v),
+        (_turn(n, u, -step, c), _turn(u, n, step, c), v),
+        (_turn(n, v, step, c), u, _turn(v, n, -step, c)),
+        (_turn(n, v, -step, c), u, _turn(v, n, step, c)),
+    ]
 
 
 def d1_oracle(rho: DensityMatrix, cfg: SearchConfig | None = None, *, stop_below: float | None = None) -> float:
@@ -175,18 +191,20 @@ def d1_oracle(rho: DensityMatrix, cfg: SearchConfig | None = None, *, stop_below
     vals = frame_norms(r, grid_u, grid_v)
     k = int(np.argmin(vals))
     best = float(vals[k])
-    n, u, v = grid_n[k], grid_u[k], grid_v[k]
+    n, u, v = (frames[:, k].tolist() for frames in (grid_n, grid_u, grid_v))
     for _ in range(cfg.refine_iters):
         if stop_below is not None and best <= stop_below:
             return best
-        cand_n, cand_u, cand_v = _compass_frames(n, u, v, step)
-        cand_vals = frame_norms(r, cand_u, cand_v)
-        j = int(np.argmin(cand_vals))
-        if cand_vals[j] < best:
-            best = float(cand_vals[j])
-            n, u, v = cand_n[j], cand_u[j], cand_v[j]
-        else:
+        # Strict < keeps the first of equally good candidates, in +u, -u, +v, -v order.
+        moved = None
+        for cand in _compass_frames(n, u, v, step):
+            val = float(frame_norms(r, cand[1], cand[2]))
+            if val < best:
+                best, moved = val, cand
+        if moved is None:
             step *= _REFINE_SHRINK
+        else:
+            n, u, v = moved
     return best
 
 

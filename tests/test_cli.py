@@ -1,12 +1,13 @@
 import csv
 import dataclasses
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from qcorr import cli
+from qcorr import cli, measures
 from qcorr.verify import VerifyResult, near_werner_params
 
 
@@ -14,6 +15,41 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Neither invariant below breaks on a valid state, so each test breaks one
+# numerically, on the calls whose index is in ``at``, and checks the CLI's
+# handling of the StateError that follows.
+
+
+def break_gram(monkeypatch, at):
+    """Give singular_values_3 a Gram spectrum negative beyond roundoff."""
+    real = np.linalg.eigvalsh
+    calls = itertools.count()
+
+    def eigvalsh(h):
+        if np.shape(h) == (3, 3) and next(calls) in at:
+            return np.array([-1e-10, 0.25, 1.0])
+        return real(h)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+
+
+def break_report(monkeypatch, at):
+    """Give MeasureReport a correlation distance above 1.5 mmc."""
+    real = measures._distance_from_singular_values
+    calls = itertools.count()
+    monkeypatch.setattr(
+        measures,
+        "_distance_from_singular_values",
+        lambda t: 10.0 if next(calls) in at else real(t),
+    )
+
+
+BREAKERS = {
+    "gram": (break_gram, "Gram eigenvalue"),
+    "report": (break_report, "correlation distance"),
+}
 
 
 class TestMeasures:
@@ -71,6 +107,16 @@ class TestMeasures:
         )
         assert code == 3
         assert "tetrahedron" in err
+
+    @pytest.mark.parametrize("breaker", sorted(BREAKERS))
+    def test_broken_invariant_exit_3(self, capsys, monkeypatch, breaker):
+        patch, message = BREAKERS[breaker]
+        patch(monkeypatch, at={0})
+        code, out, err = run_cli(
+            capsys, "measures", "--inline", '{"family": "pure", "params": {"n": 0.6}}'
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("invalid state:") and message in err
 
     def test_nan_raw_record_exit_3(self, capsys):
         re = (np.eye(4) / 4).tolist()
@@ -166,6 +212,19 @@ class TestSweep:
         assert len(good) == 3 and len(bad) == 2
         for row in bad:
             assert row["mmc"] == ""
+
+    @pytest.mark.parametrize("breaker", sorted(BREAKERS))
+    def test_broken_invariant_marks_row_and_sweep_continues(self, capsys, tmp_path, monkeypatch, breaker):
+        patch, message = BREAKERS[breaker]
+        patch(monkeypatch, at={1})
+        out = tmp_path / "broken.csv"
+        record = {"family": "pure", "param": "n", "start": 0.1, "stop": 0.9, "steps": 3}
+        code, _, _ = run_cli(capsys, "sweep", "--inline", json.dumps(record), "--out", str(out))
+        assert code == 0
+        rows = self._read(out)
+        assert [r["value"] for r in rows] == ["0.1", "0.5", "0.9"]
+        assert message in rows[1]["error"] and rows[1]["mmc"] == ""
+        assert all(r["error"] == "" and float(r["mmc"]) == float(r["value"]) for r in (rows[0], rows[2]))
 
     def test_header_and_round_trip_precision(self, capsys, tmp_path):
         out = tmp_path / "header.csv"

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qcorr import linalg
-from qcorr.errors import DimensionError, HermiticityError
+from qcorr.errors import DimensionError, HermiticityError, StateError
 from qcorr.states import partial_transpose, pure_state
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -100,6 +100,12 @@ class TestSingularValues3:
     def test_wrong_shape(self):
         with pytest.raises(DimensionError):
             linalg.singular_values_3(np.zeros((2, 2)))
+
+    def test_gram_negative_beyond_roundoff_is_state_error(self, monkeypatch):
+        # q^T q is never indefinite in exact arithmetic, so the spectrum is patched.
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: np.array([-1e-10, 0.25, 1.0]))
+        with pytest.raises(StateError, match="negative beyond roundoff"):
+            linalg.singular_values_3(np.eye(3))
 
     def test_transpose_invariance(self):
         # generic random matrices; the Gram-based route loses the 1e-10

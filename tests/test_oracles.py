@@ -104,8 +104,8 @@ class TestDisturbanceNorms:
 
 
 def _angles(axes):
-    """(theta, phi) of unit axes in the convention of disturbance_norms."""
-    return 0.5 * np.arccos(np.clip(axes[:, 2], -1.0, 1.0)), np.arctan2(axes[:, 1], axes[:, 0])
+    """(theta, phi) of unit axes, given as (3, K) columns, as disturbance_norms takes them."""
+    return 0.5 * np.arccos(np.clip(axes[2], -1.0, 1.0)), np.arctan2(axes[1], axes[0])
 
 
 class TestFrameNorms:
@@ -114,7 +114,7 @@ class TestFrameNorms:
         for _ in range(50):
             rho = random_density_matrix(rng)
             frames = np.linalg.qr(rng.standard_normal((16, 3, 3)))[0]  # columns n, u, v
-            n, u, v = frames[:, :, 0], frames[:, :, 1], frames[:, :, 2]
+            n, u, v = frames[:, :, 0].T, frames[:, :, 1].T, frames[:, :, 2].T
             kernel = frame_norms(bloch_matrix(rho), u, v)
             assert np.abs(kernel - disturbance_norms(rho, *_angles(n))).max() <= CLOSED_TOL
 
@@ -128,7 +128,7 @@ class TestFrameNorms:
             indexing="ij",
         )
         assert np.all(tg.ravel()[:n_phi] == 0.0)  # the pole row is part of the grid
-        assert np.abs(np.einsum("ki,ki->k", n, u)).max() <= 1e-15
+        assert np.abs(np.einsum("ik,ik->k", n, u)).max() <= 1e-15
         rng = np.random.default_rng(127)
         for _ in range(5):
             rho = random_density_matrix(rng)
@@ -138,24 +138,34 @@ class TestFrameNorms:
 
     def test_grid_frames_cached_per_shape(self):
         assert _grid_frames(32, 64) is _grid_frames(32, 64)
-        assert _grid_frames(32, 64)[0].shape == (32 * 64, 3)
+        assert all(f.shape == (3, 32 * 64) for f in _grid_frames(32, 64)[:3])
+
+    def test_float_frame_matches_grid_column_bit_for_bit(self):
+        rng = np.random.default_rng(139)
+        _, u, v, _ = _grid_frames(64, 128)
+        for _ in range(5):
+            r = bloch_matrix(random_density_matrix(rng))
+            grid = frame_norms(r, u, v)
+            for k in rng.integers(0, u.shape[1], 50):
+                one = frame_norms(r, tuple(u[:, k].tolist()), tuple(v[:, k].tolist()))
+                assert one.hex() == grid[k].hex()
 
     def test_carried_compass_frames_stay_orthonormal(self):
         rng = np.random.default_rng(131)
         rho = random_density_matrix(rng)
         r = bloch_matrix(rho)
         n, u, v, _ = _grid_frames(64, 128)
-        n, u, v = n[300], u[300], v[300]
+        n, u, v = (tuple(f[:, 300].tolist()) for f in (n, u, v))
         for k in range(2000):
-            cand_n, cand_u, cand_v = _compass_frames(n, u, v, 0.05 * rng.random())
-            frames = np.stack([cand_n, cand_u, cand_v], axis=-1)  # columns n, u, v
+            candidates = _compass_frames(n, u, v, 0.05 * rng.random())
+            frames = np.array(candidates).transpose(0, 2, 1)  # columns n, u, v
             gram = np.einsum("kia,kib->kab", frames, frames)
             assert np.abs(gram - np.eye(3)).max() <= 1e-12
             if k % 100 == 0:
-                kernel = frame_norms(r, cand_u, cand_v)
-                assert np.abs(kernel - disturbance_norms(rho, *_angles(cand_n))).max() <= CLOSED_TOL
-            j = k % 4
-            n, u, v = cand_n[j], cand_u[j], cand_v[j]
+                kernel = [frame_norms(r, cand_u, cand_v) for _, cand_u, cand_v in candidates]
+                axes = frames[:, :, 0].T
+                assert np.abs(kernel - disturbance_norms(rho, *_angles(axes))).max() <= CLOSED_TOL
+            n, u, v = candidates[k % 4]
 
     def test_raw_array_gives_same_bloch_matrix(self):
         rho = random_density_matrix(np.random.default_rng(137))
