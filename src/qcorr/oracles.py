@@ -152,6 +152,7 @@ def _grid_frames(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def _turn(a, b, s: float, c: float) -> tuple[float, float, float]:
+    # c (a + s b) for float triples a and b.
     a0, a1, a2 = a
     b0, b1, b2 = b
     return (c * (a0 + s * b0), c * (a1 + s * b1), c * (a2 + s * b2))
