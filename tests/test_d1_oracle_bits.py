@@ -2,8 +2,9 @@
 
 The golden corpus holds search values only within ORACLE_TOL; this table holds
 the exact bits of the oracle on seeded non-X states, at the default search, at
-32x64/60 and at 32x64/60 with ``stop_below``, so a rewrite of the kernel or the
-refinement that changes any rounding fails here.  make_d1_oracle_bits.py next to
+32x64/60 and at 32x64/60 with ``stop_below``, and of ``measures._d1_eigen_axes``,
+so a rewrite of the kernel, the grid or the refinement that changes any rounding
+fails here.  make_d1_oracle_bits.py next to
 the table wrote it.
 """
 
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from qcorr.measures import _d1_eigen_axes
 from qcorr.oracles import SearchConfig, d1_oracle
 from qcorr.stateio import state_from_record
 from qcorr.states import is_x_shaped
@@ -37,3 +39,9 @@ def test_d1_oracle_bit_exact(case):
     stopped = d1_oracle(rho, SMALL, stop_below=stop_below)
     assert stopped.hex() == bits["small_stopped"]
     assert stopped <= stop_below
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_d1_eigen_axes_bit_exact(case):
+    rho = state_from_record(case["record"])
+    assert _d1_eigen_axes(rho).hex() == case["d1_eigen_axes"]
