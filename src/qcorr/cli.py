@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 unparseable input, 3 invalid state, 4 failed checks.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -99,36 +100,42 @@ def _cmd_measures(args) -> int:
     return 0
 
 
+def _sweep_row(spec, value) -> dict:
+    row = {"value": repr(float(value)), "error": ""}
+    try:
+        rho = state_from_record(spec.record_for(value))
+        rep = full_report(rho)
+        row.update(
+            mmc=repr(rep.mmc),
+            correlation_distance=repr(rep.correlation_distance),
+            negativity=repr(rep.negativity),
+            d1=repr(rep.d1),
+            t1=repr(rep.singular_values[0]),
+            t2=repr(rep.singular_values[1]),
+            t3=repr(rep.singular_values[2]),
+        )
+    except StateError as exc:
+        row.update({k: "" for k in SWEEP_COLUMNS[1:-1]})
+        row["error"] = str(exc)
+    return row
+
+
 def _cmd_sweep(args) -> int:
     record = _load_record(args)
     spec = sweep_from_record(record)
-    rows = []
-    for value in spec.values():
-        row = {"value": repr(float(value)), "error": ""}
+    # Open the output before any row is computed, so a bad path fails at once.
+    if args.out:
         try:
-            rho = state_from_record(spec.record_for(value))
-            rep = full_report(rho)
-            row.update(
-                mmc=repr(rep.mmc),
-                correlation_distance=repr(rep.correlation_distance),
-                negativity=repr(rep.negativity),
-                d1=repr(rep.d1),
-                t1=repr(rep.singular_values[0]),
-                t2=repr(rep.singular_values[1]),
-                t3=repr(rep.singular_values[2]),
-            )
-        except StateError as exc:
-            row.update({k: "" for k in SWEEP_COLUMNS[1:-1]})
-            row["error"] = str(exc)
-        rows.append(row)
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
-        writer = csv.DictWriter(out, fieldnames=SWEEP_COLUMNS)
+            out = open(args.out, "w", newline="", encoding="utf-8")
+        except OSError as exc:
+            raise RecordError(f"cannot write {args.out}: {exc}") from exc
+    else:
+        out = contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
+        for value in spec.values():
+            writer.writerow(_sweep_row(spec, value))
     return 0
 
 

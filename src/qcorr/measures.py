@@ -130,7 +130,8 @@ def _d1_eigen_axes(rho: DensityMatrix) -> float:
     """
     r = bloch_matrix(rho)
     _, e = np.linalg.eigh(r @ r.T)
-    return float(frame_norms(r, e[:, [1, 0, 0]], e[:, [2, 2, 1]]).min())
+    rows, (e0, e1, e2) = r.tolist(), e.T.tolist()
+    return min(frame_norms(rows, e1, e2), frame_norms(rows, e0, e2), frame_norms(rows, e0, e1))
 
 
 def full_report(rho: DensityMatrix) -> MeasureReport:

@@ -8,11 +8,14 @@ bit-for-bit for a fixed :class:`SearchConfig`.
 
 The grid and the refinement evaluate the disturbance with :func:`frame_norms`,
 a closed expression in R = [a | T] and an orthonormal frame (u, v) normal to
-the axis.  A frame is passed as its three component columns: the grid as
-(3, K) arrays, one column per node, and the refinement as one frame of plain
-floats per compass candidate, through the same kernel and the same rounding.
-:func:`disturbance_norms` evaluates the same norm from the definition, by
-eigenvalues of rho - P(rho); it is the reference the kernel is tested against.
+the axis.  A frame is passed as its three components.  For the grid they are
+arrays that broadcast over the (n_theta, n_phi) nodes, with the terms that
+depend on one angle only stored once per row or column; for the refinement
+they are plain floats, one compass candidate per call, with R's entries read
+as floats once per search.  Both go through the same kernel and the same
+rounding.  :func:`disturbance_norms` evaluates the same norm from the
+definition, by eigenvalues of rho - P(rho); it is the reference the kernel is
+tested against.
 """
 
 from __future__ import annotations
@@ -106,49 +109,76 @@ def bloch_matrix(rho) -> np.ndarray:
     return np.column_stack([a, correlation_tensor(rho)])
 
 
-def frame_norms(r: np.ndarray, u, v):
+def frame_norms(r, u, v):
     """Trace norms of rho - P_n(rho), from R = ``bloch_matrix(rho)``.
 
+    ``r`` is the 3x4 matrix R, as an array or as its rows of Python floats
+    (``R.tolist()``, which :func:`d1_oracle` reads once per search).
     ``u = (u0, u1, u2)`` and ``v = (v0, v1, v2)`` are the components of an
     orthonormal frame of the plane normal to the measurement axis n.  Each
-    component is either an array of K frames, giving K norms, or a float,
+    component is either an array, giving one norm per frame (components
+    broadcast against each other, as in :func:`_grid_frames`), or a float,
     giving the norm of one frame.  With p = u^T R, q = v^T R and the Lorentz
     product <x, y> = x0 y0 - x.y, the norm is
     sqrt((|p|^2 + |q|^2 + hypot(<p,p> - <q,q>, 2<p,q>)) / 2), a sum of
     non-negative terms with no cancellation (Ciccarello, Tufarelli &
     Giovannetti, NJP 16, 013038, 2014).  Every sum is written out term by
-    term, so arrays and floats round alike and nothing depends on BLAS.
+    term, left to right, so arrays and floats round alike and nothing depends
+    on BLAS.
     """
+    (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23) = r
     u0, u1, u2 = u
     v0, v1, v2 = v
-    cols = r.T.tolist()
-    p0, p1, p2, p3 = [u0 * x + u1 * y + u2 * z for x, y, z in cols]
-    q0, q1, q2, q3 = [v0 * x + v1 * y + v2 * z for x, y, z in cols]
+    p0 = u0 * r00 + u1 * r10 + u2 * r20
+    p1 = u0 * r01 + u1 * r11 + u2 * r21
+    p2 = u0 * r02 + u1 * r12 + u2 * r22
+    p3 = u0 * r03 + u1 * r13 + u2 * r23
+    q0 = v0 * r00 + v1 * r10 + v2 * r20
+    q1 = v0 * r01 + v1 * r11 + v2 * r21
+    q2 = v0 * r02 + v1 * r12 + v2 * r22
+    q3 = v0 * r03 + v1 * r13 + v2 * r23
     pp = p1 * p1 + p2 * p2 + p3 * p3
     qq = q1 * q1 + q2 * q2 + q3 * q3
     pq = p1 * q1 + p2 * q2 + p3 * q3
-    euclid = p0 * p0 + pp + q0 * q0 + qq
-    lorentz = np.hypot(p0 * p0 - pp - q0 * q0 + qq, 2.0 * (p0 * q0 - pq))
-    return np.sqrt(0.5 * (euclid + lorentz))
+    p00 = p0 * p0
+    q00 = q0 * q0
+    euclid = p00 + pp + q00 + qq
+    # np.hypot on floats too: math.hypot rounds differently on some pairs, and
+    # a refined frame must give the bits its grid node gives.
+    lorentz = np.hypot(p00 - pp - q00 + qq, 2.0 * (p0 * q0 - pq))
+    half = 0.5 * (euclid + lorentz)
+    # Both square roots are correctly rounded, so they agree bit for bit.
+    return np.sqrt(half) if isinstance(half, np.ndarray) else math.sqrt(half)
 
 
 @functools.lru_cache(maxsize=4)
-def _grid_frames(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def _grid_frames(n_theta: int, n_phi: int) -> tuple[tuple, tuple, tuple, float]:
     """Axes n, frames (u, v) and first refine step of the hemisphere search grid.
 
-    Each of n, u and v is a (3, K) array: row i holds component i of all K
-    grid nodes, the layout :func:`frame_norms` takes.
+    Node (i, j) sits at the i-th polar angle and the j-th azimuth.  Each of n,
+    u and v is a triple of components that broadcast to (n_theta, n_phi), the
+    layout :func:`frame_norms` takes.  v depends only on the azimuth, so its
+    components are (1, n_phi); the third components of n and u depend only on
+    the polar angle, so they are (n_theta, 1).  Every component is cut from
+    the full meshgrid arrays rather than recomputed, so each node holds the
+    bits it would in a full array.  The step is a Python float, which keeps
+    the refinement's arithmetic on Python floats.
     """
     polar = 2.0 * np.linspace(0.0, math.pi / 4.0, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
     pg, ph = np.meshgrid(polar, phis, indexing="ij")
     sp, cp, sph, cph = np.sin(pg), np.cos(pg), np.sin(ph), np.cos(ph)
-    n = np.stack([sp * cph, sp * sph, cp]).reshape(3, -1)
-    u = np.stack([cp * cph, cp * sph, -sp]).reshape(3, -1)
-    v = np.stack([-sph, cph, np.zeros_like(ph)]).reshape(3, -1)
-    for arr in (n, u, v):
+    n = (sp * cph, sp * sph, cp[:, :1])
+    u = (cp * cph, cp * sph, -sp[:, :1])
+    v = (-sph[:1], cph[:1], np.zeros((1, n_phi)))
+    for arr in (*n, *u, *v):
         arr.setflags(write=False)
-    return n, u, v, max(polar[1] - polar[0], phis[1] - phis[0])
+    return n, u, v, float(max(polar[1] - polar[0], phis[1] - phis[0]))
+
+
+def _grid_node(frame, i: int, j: int) -> tuple[float, float, float]:
+    # Node (i, j) of a broadcast grid frame; an axis of length 1 is read at 0.
+    return tuple(float(c[i % c.shape[0], j % c.shape[1]]) for c in frame)
 
 
 def _turn(a, b, s: float, c: float) -> tuple[float, float, float]:
@@ -187,19 +217,19 @@ def d1_oracle(rho: DensityMatrix, cfg: SearchConfig | None = None, *, stop_below
     need.
     """
     cfg = DEFAULT_SEARCH if cfg is None else cfg
-    r = bloch_matrix(rho)
+    r = bloch_matrix(rho).tolist()
     grid_n, grid_u, grid_v, step = _grid_frames(*cfg.coarse_grid)
     vals = frame_norms(r, grid_u, grid_v)
-    k = int(np.argmin(vals))
-    best = float(vals[k])
-    n, u, v = (frames[:, k].tolist() for frames in (grid_n, grid_u, grid_v))
+    k = int(np.argmin(vals))  # the first minimum in row-major node order
+    best = float(vals.flat[k])
+    n, u, v = (_grid_node(frame, *divmod(k, vals.shape[1])) for frame in (grid_n, grid_u, grid_v))
     for _ in range(cfg.refine_iters):
         if stop_below is not None and best <= stop_below:
             return best
         # Strict < keeps the first of equally good candidates, in +u, -u, +v, -v order.
         moved = None
         for cand in _compass_frames(n, u, v, step):
-            val = float(frame_norms(r, cand[1], cand[2]))
+            val = frame_norms(r, cand[1], cand[2])
             if val < best:
                 best, moved = val, cand
         if moved is None:

@@ -244,6 +244,19 @@ class TestSweep:
         assert code == 0
         assert out.startswith("value,")
 
+    def test_unwritable_out_exit_2_before_any_row(self, capsys, tmp_path, monkeypatch):
+        def no_rows(rho):
+            pytest.fail("a row was computed before the output was opened")
+
+        monkeypatch.setattr(cli, "full_report", no_rows)
+        out = tmp_path / "missing" / "sweep.csv"
+        record = {"family": "pure", "param": "n", "start": 0.1, "stop": 0.5, "steps": 3}
+        code, stdout, err = run_cli(capsys, "sweep", "--inline", json.dumps(record), "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"error: cannot write {out}")
+        assert not out.exists()
+
     def test_bad_sweep_record_exit_2(self, capsys):
         record = {"family": "pure", "param": "w", "start": 0.1, "stop": 0.5, "steps": 3}
         code, _, _ = run_cli(capsys, "sweep", "--inline", json.dumps(record))

@@ -380,3 +380,31 @@ class TestLocalUnitaryInvariance:
                 correlation_distance(rho), abs=1e-10
             )
             assert negativity(rotated) == pytest.approx(negativity(rho), abs=1e-10)
+
+
+SWAP = np.eye(4)[[0, 2, 1, 3]]
+
+
+def _gram_state(entries):
+    g = np.array(entries[:16]).reshape(4, 4) + 1j * np.array(entries[16:]).reshape(4, 4)
+    mat = g @ g.conj().T
+    return DensityMatrix(mat / np.trace(mat).real)
+
+
+_gram_entries = st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32).filter(
+    lambda e: sum(x * x for x in e) > 1e-2
+)
+
+
+class TestSwapSymmetry:
+    @given(st.builds(_gram_state, _gram_entries))
+    @settings(max_examples=200, deadline=None)
+    @example(cq_state(0.3, 0.4, 1.1, (0.2, -0.5, 0.1), (0.0, 0.3, -0.6)))
+    @example(rho_d(0.1, 0.2))
+    @example(pure_state(0.6))
+    def test_mmc_distance_negativity(self, rho):
+        # d1 is left out: it measures A only, so swapping A and B changes it.
+        swapped = DensityMatrix(SWAP @ rho.mat @ SWAP)
+        assert mmc(swapped) == pytest.approx(mmc(rho), abs=1e-10)
+        assert correlation_distance(swapped) == pytest.approx(correlation_distance(rho), abs=1e-10)
+        assert negativity(swapped) == pytest.approx(negativity(rho), abs=1e-10)

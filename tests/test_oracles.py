@@ -9,6 +9,7 @@ from qcorr.oracles import (
     SearchConfig,
     _compass_frames,
     _grid_frames,
+    _grid_node,
     bloch_matrix,
     classical_cov,
     classical_cov_from_moments,
@@ -103,6 +104,23 @@ class TestDisturbanceNorms:
             disturbance_norms(np.eye(4) / 4, np.zeros(3), np.zeros(4))
 
 
+def _columns(frame, shape):
+    """A broadcast grid frame as (3, K) columns, one per node in row-major order."""
+    return np.stack([np.broadcast_to(c, shape) for c in frame]).reshape(3, -1)
+
+
+def _meshgrid_frames(n_theta, n_phi):
+    """The grid's n, u, v as full (3, K) arrays, built the way the full-array layout was."""
+    polar = 2.0 * np.linspace(0.0, math.pi / 4.0, n_theta)
+    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    pg, ph = np.meshgrid(polar, phis, indexing="ij")
+    sp, cp, sph, cph = np.sin(pg), np.cos(pg), np.sin(ph), np.cos(ph)
+    n = np.stack([sp * cph, sp * sph, cp]).reshape(3, -1)
+    u = np.stack([cp * cph, cp * sph, -sp]).reshape(3, -1)
+    v = np.stack([-sph, cph, np.zeros_like(ph)]).reshape(3, -1)
+    return n, u, v, max(polar[1] - polar[0], phis[1] - phis[0])
+
+
 def _angles(axes):
     """(theta, phi) of unit axes, given as (3, K) columns, as disturbance_norms takes them."""
     return 0.5 * np.arccos(np.clip(axes[2], -1.0, 1.0)), np.arctan2(axes[1], axes[0])
@@ -122,40 +140,58 @@ class TestFrameNorms:
     def test_matches_reference_on_grid_nodes(self, shape):
         n_theta, n_phi = shape
         n, u, v, _ = _grid_frames(n_theta, n_phi)
+        n_full, u_full = _columns(n, shape), _columns(u, shape)
         tg, pg = np.meshgrid(
             np.linspace(0.0, math.pi / 4.0, n_theta),
             np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False),
             indexing="ij",
         )
         assert np.all(tg.ravel()[:n_phi] == 0.0)  # the pole row is part of the grid
-        assert np.abs(np.einsum("ik,ik->k", n, u)).max() <= 1e-15
+        assert np.abs(np.einsum("ik,ik->k", n_full, u_full)).max() <= 1e-15
         rng = np.random.default_rng(127)
         for _ in range(5):
             rho = random_density_matrix(rng)
-            kernel = frame_norms(bloch_matrix(rho), u, v)
+            kernel = frame_norms(bloch_matrix(rho), u, v).ravel()
             reference = disturbance_norms(rho, tg.ravel(), pg.ravel())
             assert np.abs(kernel - reference).max() <= CLOSED_TOL
 
     def test_grid_frames_cached_per_shape(self):
         assert _grid_frames(32, 64) is _grid_frames(32, 64)
-        assert all(f.shape == (3, 32 * 64) for f in _grid_frames(32, 64)[:3])
+        n, u, v, _ = _grid_frames(32, 64)
+        assert [c.shape for c in n] == [(32, 64), (32, 64), (32, 1)]
+        assert [c.shape for c in u] == [(32, 64), (32, 64), (32, 1)]
+        assert [c.shape for c in v] == [(1, 64), (1, 64), (1, 64)]
+
+    @pytest.mark.parametrize("shape", [(64, 128), (32, 64), (8, 16)])
+    def test_grid_layout_matches_full_meshgrid_bit_for_bit(self, shape):
+        *frames, step = _grid_frames(*shape)
+        *full, full_step = _meshgrid_frames(*shape)
+        assert step == full_step
+        for frame, reference in zip(frames, full):
+            columns = _columns(frame, shape)
+            assert columns.shape == reference.shape
+            assert columns.tobytes() == reference.tobytes()
+            nodes = [_grid_node(frame, *divmod(k, shape[1])) for k in range(columns.shape[1])]
+            assert np.array(nodes).T.tobytes() == reference.tobytes()
 
     def test_float_frame_matches_grid_column_bit_for_bit(self):
         rng = np.random.default_rng(139)
-        _, u, v, _ = _grid_frames(64, 128)
-        for _ in range(5):
-            r = bloch_matrix(random_density_matrix(rng))
-            grid = frame_norms(r, u, v)
-            for k in rng.integers(0, u.shape[1], 50):
-                one = frame_norms(r, tuple(u[:, k].tolist()), tuple(v[:, k].tolist()))
-                assert one.hex() == grid[k].hex()
+        for shape in [(64, 128), (32, 64), (8, 16)]:
+            _, u, v, _ = _grid_frames(*shape)
+            u_full, v_full = _columns(u, shape), _columns(v, shape)
+            for _ in range(5):
+                r = bloch_matrix(random_density_matrix(rng))
+                grid = frame_norms(r, u, v).ravel()
+                for k in range(grid.size):
+                    one = frame_norms(r, tuple(u_full[:, k].tolist()), tuple(v_full[:, k].tolist()))
+                    assert one.hex() == grid[k].hex()
 
     def test_carried_compass_frames_stay_orthonormal(self):
         rng = np.random.default_rng(131)
         rho = random_density_matrix(rng)
         r = bloch_matrix(rho)
         n, u, v, _ = _grid_frames(64, 128)
-        n, u, v = (tuple(f[:, 300].tolist()) for f in (n, u, v))
+        n, u, v = (tuple(_columns(f, (64, 128))[:, 300].tolist()) for f in (n, u, v))
         for k in range(2000):
             candidates = _compass_frames(n, u, v, 0.05 * rng.random())
             frames = np.array(candidates).transpose(0, 2, 1)  # columns n, u, v
