@@ -12,11 +12,6 @@ from .errors import (
     RecordError,
     StateError,
 )
-from .linalg import (
-    kron,
-    singular_values_3,
-    trace_norm_hermitian,
-)
 from .measures import (
     MeasureReport,
     correlation_distance,
@@ -25,6 +20,7 @@ from .measures import (
     full_report,
     mmc,
     negativity,
+    singular_values_3,
 )
 from .oracles import (
     DEFAULT_SEARCH,
@@ -90,7 +86,6 @@ __all__ = [
     "format_line",
     "full_report",
     "is_x_shaped",
-    "kron",
     "mmc",
     "mmc_oracle",
     "negativity",
@@ -108,6 +103,5 @@ __all__ = [
     "singular_values_3",
     "state_from_record",
     "sweep_from_record",
-    "trace_norm_hermitian",
     "x_state",
 ]

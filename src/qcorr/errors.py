@@ -9,10 +9,6 @@ class DimensionError(QcorrError, ValueError):
     """Operand dimensions are unsupported or inconsistent."""
 
 
-class HermiticityError(QcorrError, ValueError):
-    """Input matrix is not Hermitian within tolerance."""
-
-
 class StateError(QcorrError, ValueError):
     """Invalid state parameters, or a matrix violating density-matrix invariants."""
 

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StateError
-from .linalg import singular_values_3, trace_norm_hermitian
+from .errors import DimensionError, StateError
 from .oracles import bloch_matrix, d1_oracle, frame_norms
 from .states import (
     DensityMatrix,
@@ -63,6 +62,25 @@ def covariance_matrix(rho: DensityMatrix) -> np.ndarray:
     return correlation_tensor(rho) - np.outer(a, b)
 
 
+def singular_values_3(q) -> np.ndarray:
+    """Singular values of a real 3x3 matrix, descending.
+
+    Computed as the square roots of the spectrum of ``q^T q``; eigenvalues in
+    ``[-1e-14, 0)`` are clamped to zero.  Anything more negative raises
+    :class:`StateError`: ``q`` is a state's covariance matrix, and no valid
+    state gives one.
+    """
+    q = np.asarray(q, dtype=float)
+    if q.shape != (3, 3):
+        raise DimensionError(f"expected a 3x3 real matrix, got shape {q.shape}")
+    gram = np.linalg.eigvalsh(q.T @ q)[::-1]
+    if gram[-1] < -1e-14:
+        raise StateError(
+            f"Gram eigenvalue {gram[-1]:.3e} is negative beyond roundoff"
+        )
+    return np.sqrt(np.clip(gram, 0.0, None))
+
+
 def mmc(rho: DensityMatrix) -> float:
     """Maximal mutual correlation: the largest singular value of Q."""
     return float(singular_values_3(covariance_matrix(rho))[0])
@@ -87,9 +105,11 @@ def negativity(rho: DensityMatrix) -> float:
     """Normalized negativity ||rho^PT||_1 - 1, clamped at zero.
 
     The clamp only absorbs eigenvalue noise on separability-boundary states;
-    the exact value is never below zero.
+    the exact value is never below zero.  ``rho`` was checked Hermitian on
+    construction, and partial transposition only permutes entries, so the
+    spectrum comes straight from ``eigvalsh``.
     """
-    value = trace_norm_hermitian(partial_transpose(rho)) - 1.0
+    value = float(np.abs(np.linalg.eigvalsh(partial_transpose(rho))).sum()) - 1.0
     return value if value > 0.0 else 0.0
 
 

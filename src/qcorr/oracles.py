@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .errors import DimensionError
 from .states import (
     _EYE2,
@@ -70,16 +69,17 @@ def measurement_map(rho: DensityMatrix, theta: float, phi: float) -> DensityMatr
     same angles changes nothing.
     """
     p1, p2 = projector_pair(theta, phi)
-    k1 = linalg.kron(p1, _EYE2)
-    k2 = linalg.kron(p2, _EYE2)
+    k1 = np.kron(p1, _EYE2)
+    k2 = np.kron(p2, _EYE2)
     return DensityMatrix(k1 @ rho.mat @ k1 + k2 @ rho.mat @ k2)
 
 
 def disturbance_norms(rho, thetas, phis) -> np.ndarray:
     """Trace norm of rho - P(rho) for a batch of measurement angles.
 
-    ``thetas`` and ``phis`` are paired 1-d arrays; row k of the result equals
-    ``trace_norm_hermitian(rho - measurement_map(rho, thetas[k], phis[k]))``.
+    ``thetas`` and ``phis`` are paired 1-d arrays; row k of the result is the
+    sum of the absolute eigenvalues of
+    ``rho - measurement_map(rho, thetas[k], phis[k])``.
     """
     mat = _as_mat(rho)
     t = np.atleast_1d(np.asarray(thetas, dtype=float))
@@ -242,8 +242,8 @@ def d1_oracle(rho: DensityMatrix, cfg: SearchConfig | None = None, *, stop_below
 def _covariance_by_traces(rho: DensityMatrix) -> np.ndarray:
     # Plain element-by-element evaluation of q_ij = <A_i B_j> - <A_i><B_j>,
     # kept deliberately separate from the vectorized production path.
-    a_ops = [linalg.kron(pauli(i), _EYE2) for i in (1, 2, 3)]
-    b_ops = [linalg.kron(_EYE2, pauli(j)) for j in (1, 2, 3)]
+    a_ops = [np.kron(pauli(i), _EYE2) for i in (1, 2, 3)]
+    b_ops = [np.kron(_EYE2, pauli(j)) for j in (1, 2, 3)]
     a = np.array([np.trace(rho.mat @ op).real for op in a_ops])
     b = np.array([np.trace(rho.mat @ op).real for op in b_ops])
     q = np.empty((3, 3))

@@ -8,6 +8,7 @@ bit-exactly through JSON.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -151,6 +152,10 @@ def report_to_record(report: MeasureReport) -> dict:
     }
 
 
+# Rows take about a millisecond each, so this many already take minutes; the
+# cap also bounds the array np.linspace allocates up front.
+MAX_SWEEP_STEPS = 10**6
+
 SWEEPABLE_PARAMS = {
     "pure": ("n",),
     "cq": ("p1", "theta", "phi"),
@@ -181,8 +186,12 @@ class SweepSpec:
                 f"parameter {self.param!r} is not sweepable for family {self.family!r}; "
                 f"choose from {SWEEPABLE_PARAMS[self.family]}"
             )
-        if self.steps < 2:
-            raise RecordError(f"steps must be at least 2, got {self.steps}")
+        if not 2 <= self.steps <= MAX_SWEEP_STEPS:
+            raise RecordError(f"steps must lie in [2, {MAX_SWEEP_STEPS}], got {self.steps}")
+        if not math.isfinite(self.stop - self.start):
+            raise RecordError(
+                f"start, stop and their difference must be finite, got [{self.start}, {self.stop}]"
+            )
         if not self.start < self.stop:
             raise RecordError(f"start must be below stop, got [{self.start}, {self.stop}]")
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .errors import StateError
 
+HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = -1e-10  # smallest admissible eigenvalue of a density matrix
 BLOCH_TOL = 1e-12
@@ -99,7 +99,7 @@ class DensityMatrix:
         if not np.isfinite(m).all():
             raise StateError("density matrix has non-finite entries")
         herm_dev = float(np.abs(m - m.conj().T).max())
-        if herm_dev > linalg.HERMITICITY_TOL:
+        if herm_dev > HERMITICITY_TOL:
             raise StateError(
                 f"density matrix is not Hermitian: max deviation {herm_dev:.3e}"
             )
@@ -223,7 +223,7 @@ def cq_state(p1: float, theta: float, phi: float, a1, a2) -> DensityMatrix:
     if not 0.0 <= p1 <= 1.0:
         raise StateError(f"probability p1 must lie in [0, 1], got {p1}")
     proj1, proj2 = projector_pair(theta, phi)
-    m = p1 * linalg.kron(proj1, qubit_state(a1)) + (1.0 - p1) * linalg.kron(
+    m = p1 * np.kron(proj1, qubit_state(a1)) + (1.0 - p1) * np.kron(
         proj2, qubit_state(a2)
     )
     return DensityMatrix(m)
@@ -250,7 +250,7 @@ def cc_state(
     m = np.zeros((4, 4), dtype=complex)
     for j in range(2):
         for k in range(2):
-            m += table[j][k] * linalg.kron(pa[j], pb[k])
+            m += table[j][k] * np.kron(pa[j], pb[k])
     return DensityMatrix(m)
 
 

@@ -1,7 +1,7 @@
-"""The part of the public API that the benchmark harness in perfbench/ uses.
+"""The public API: its full list of names, and the part perfbench/ uses.
 
-perfbench imports these names from ``qcorr`` and calls them with the shapes
-below; an API trim that breaks either makes every benchmark run fail.
+perfbench imports names from ``qcorr`` and calls them with the shapes below;
+an API trim that breaks either makes every benchmark run fail.
 """
 
 import ast
@@ -15,6 +15,59 @@ import qcorr
 from qcorr.measures import X_PATTERN_TOL
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# Growing or trimming the public API means editing this list on purpose.
+PUBLIC_NAMES = [
+    "DEFAULT_SEARCH",
+    "DensityMatrix",
+    "DimensionError",
+    "MeasureReport",
+    "ProbTable2x2",
+    "QcorrError",
+    "RecordError",
+    "SearchConfig",
+    "StateError",
+    "VerifyResult",
+    "XStateParams",
+    "bell_diagonal",
+    "bloch_vectors",
+    "cc_state",
+    "classical_cov",
+    "correlation_distance",
+    "correlation_tensor",
+    "covariance_matrix",
+    "cq_state",
+    "d1_oracle",
+    "d1_x_state",
+    "disturbance_norms",
+    "format_line",
+    "full_report",
+    "is_x_shaped",
+    "mmc",
+    "mmc_oracle",
+    "negativity",
+    "partial_trace",
+    "partial_transpose",
+    "pauli",
+    "projector_pair",
+    "pure_state",
+    "qubit_state",
+    "report_to_record",
+    "rho_d",
+    "rho_d_smax",
+    "rho_theta",
+    "run_checks",
+    "singular_values_3",
+    "state_from_record",
+    "sweep_from_record",
+    "x_state",
+]
+
+
+def test_public_names_pinned():
+    assert sorted(qcorr.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert hasattr(qcorr, name), name
 
 
 def _qcorr_imports(path: Path) -> set[tuple[str, str]]:

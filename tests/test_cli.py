@@ -257,6 +257,21 @@ class TestSweep:
         assert err.startswith(f"error: cannot write {out}")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [{"start": 0.1, "stop": 0.9, "steps": 10**12}, {"start": -math.inf, "stop": 0.9, "steps": 3}],
+    )
+    def test_bad_range_exit_2_before_any_row(self, capsys, monkeypatch, bounds):
+        def no_rows(rho):
+            pytest.fail("a row was computed for a rejected range")
+
+        monkeypatch.setattr(cli, "full_report", no_rows)
+        record = {"family": "pure", "param": "n", **bounds}
+        code, stdout, err = run_cli(capsys, "sweep", "--inline", json.dumps(record))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ")
+
     def test_bad_sweep_record_exit_2(self, capsys):
         record = {"family": "pure", "param": "w", "start": 0.1, "stop": 0.5, "steps": 3}
         code, _, _ = run_cli(capsys, "sweep", "--inline", json.dumps(record))

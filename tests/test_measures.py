@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcorr.linalg import kron, trace_norm_hermitian
+from qcorr.errors import DimensionError, StateError
 from qcorr.measures import (
     MeasureReport,
     correlation_distance,
@@ -14,6 +14,7 @@ from qcorr.measures import (
     full_report,
     mmc,
     negativity,
+    singular_values_3,
 )
 from qcorr.oracles import SearchConfig, d1_oracle
 from qcorr.states import (
@@ -24,6 +25,7 @@ from qcorr.states import (
     cc_state,
     cq_state,
     partial_trace,
+    partial_transpose,
     pure_state,
     qubit_state,
     rho_d,
@@ -33,6 +35,7 @@ from qcorr.states import (
 from qcorr.stateio import report_to_record, state_from_record
 from qcorr.verify import (
     CLOSED_TOL,
+    ORACLE_TOL,
     near_werner_params,
     random_bloch_vector,
     random_density_matrix,
@@ -50,7 +53,7 @@ def random_local_unitary(rng):
 
 class TestCovarianceMatrix:
     def test_product_state_vanishes(self):
-        rho = DensityMatrix(kron(qubit_state((0.3, 0.1, -0.5)), qubit_state((0, 0.7, 0.2))))
+        rho = DensityMatrix(np.kron(qubit_state((0.3, 0.1, -0.5)), qubit_state((0, 0.7, 0.2))))
         assert np.abs(covariance_matrix(rho)).max() <= 1e-14
 
     def test_pure_state(self):
@@ -64,12 +67,55 @@ class TestCovarianceMatrix:
         assert np.allclose(q, np.diag([s2 / 2, -s2 / 2, s2 * s2 / 4]), atol=1e-12)
 
 
+class TestSingularValues3:
+    def test_zero_matrix(self):
+        assert np.array_equal(singular_values_3(np.zeros((3, 3))), np.zeros(3))
+
+    def test_pure_state_covariance_values(self):
+        q = np.diag([0.6, -0.6, 0.36])
+        assert np.allclose(singular_values_3(q), [0.6, 0.6, 0.36], atol=1e-14)
+
+    def test_rank_one(self):
+        n = np.array([0.0, 0.0, 1.0])
+        delta = np.array([1.0, 0.0, 0.0]) - np.array([0.0, 0.0, 1.0])
+        q = 2 * 0.3 * 0.7 * np.outer(n, delta)
+        got = singular_values_3(q)
+        expected_top = 2 * 0.3 * 0.7 * np.linalg.norm(delta)
+        assert got[0] == pytest.approx(expected_top, abs=1e-12)
+        assert got[1] == pytest.approx(0.0, abs=1e-12)
+        assert got[2] == pytest.approx(0.0, abs=1e-12)
+        # brute-force cross-check through the Gram matrix spectrum
+        gram = np.linalg.eigvalsh(q.T @ q)
+        assert np.allclose(np.sort(got**2), np.clip(gram, 0, None), atol=1e-12)
+
+    def test_wrong_shape(self):
+        with pytest.raises(DimensionError):
+            singular_values_3(np.zeros((2, 2)))
+
+    def test_gram_negative_beyond_roundoff_is_state_error(self, monkeypatch):
+        # q^T q is never indefinite in exact arithmetic, so the spectrum is patched.
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: np.array([-1e-10, 0.25, 1.0]))
+        with pytest.raises(StateError, match="negative beyond roundoff"):
+            singular_values_3(np.eye(3))
+
+    def test_transpose_invariance(self):
+        # generic random matrices; the Gram-based route loses the 1e-10
+        # guarantee only on exactly singular inputs, where sqrt amplifies
+        # eigenvalue roundoff
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            q = rng.standard_normal((3, 3))
+            a = singular_values_3(q)
+            b = singular_values_3(q.T)
+            assert np.abs(a - b).max() <= 1e-10
+
+
 class TestMmc:
     def test_rho_d_spot(self):
         assert mmc(rho_d(0.1, 0.2)) == pytest.approx(0.8, abs=1e-12)
 
     def test_product_state(self):
-        rho = DensityMatrix(kron(qubit_state((0.2, 0, 0.4)), qubit_state((0, 0, -0.9))))
+        rho = DensityMatrix(np.kron(qubit_state((0.2, 0, 0.4)), qubit_state((0, 0, -0.9))))
         assert mmc(rho) <= 1e-12
 
     def test_bell_diagonal_spot(self):
@@ -126,8 +172,8 @@ class TestCorrelationDistance:
         rng = np.random.default_rng(53)
         for _ in range(200):
             rho = random_density_matrix(rng)
-            product = kron(partial_trace(rho, "A"), partial_trace(rho, "B"))
-            direct = trace_norm_hermitian(rho.mat - product)
+            product = np.kron(partial_trace(rho, "A"), partial_trace(rho, "B"))
+            direct = float(np.abs(np.linalg.eigvalsh(rho.mat - product)).sum())
             assert correlation_distance(rho) == pytest.approx(direct, abs=1e-10)
 
     def test_dominates_mmc(self):
@@ -373,13 +419,41 @@ class TestLocalUnitaryInvariance:
         rng = np.random.default_rng(73)
         for _ in range(50):
             rho = random_density_matrix(rng)
-            u = kron(random_local_unitary(rng), random_local_unitary(rng))
+            u = np.kron(random_local_unitary(rng), random_local_unitary(rng))
             rotated = DensityMatrix(u @ rho.mat @ u.conj().T)
             assert mmc(rotated) == pytest.approx(mmc(rho), abs=1e-10)
             assert correlation_distance(rotated) == pytest.approx(
                 correlation_distance(rho), abs=1e-10
             )
             assert negativity(rotated) == pytest.approx(negativity(rho), abs=1e-10)
+
+    def test_rotated_x_state_d1(self):
+        # A rotated X state is in general not X-shaped, so its d1 comes from the
+        # search; it must land at or above the unrotated closed form.
+        rng = np.random.default_rng(79)
+        for _ in range(200):
+            params = random_x_params(rng)
+            u = np.kron(random_local_unitary(rng), random_local_unitary(rng))
+            rotated = DensityMatrix(u @ x_state(params).mat @ u.conj().T)
+            exact, _ = d1_x_state(params)
+            assert exact - CLOSED_TOL <= full_report(rotated).d1 <= exact + ORACLE_TOL
+
+
+class TestPartialTransposeInvariance:
+    def test_d1_on_ppt_states(self):
+        # Transposing B flips the sign of T's second column.  d1 sees T only
+        # through T T^T, so a PPT state and its partial transpose share d1.
+        rng = np.random.default_rng(83)
+        checked = 0
+        while checked < 150:
+            w = rng.random()
+            rho = DensityMatrix(w * random_density_matrix(rng).mat + (1.0 - w) * np.eye(4) / 4)
+            if negativity(rho) > 0.0:
+                continue
+            flipped = DensityMatrix(partial_transpose(rho))
+            assert abs(full_report(flipped).d1 - full_report(rho).d1) <= 1e-12
+            assert abs(d1_oracle(flipped) - d1_oracle(rho)) <= 1e-12
+            checked += 1
 
 
 SWAP = np.eye(4)[[0, 2, 1, 3]]

@@ -7,6 +7,7 @@ import pytest
 from qcorr.errors import RecordError, StateError
 from qcorr.measures import full_report
 from qcorr.stateio import (
+    MAX_SWEEP_STEPS,
     SweepSpec,
     report_to_record,
     state_from_record,
@@ -175,3 +176,20 @@ class TestSweepSpec:
             sweep_from_record({"family": "pure", "param": "n", "start": 1, "stop": 0, "steps": 4})
         with pytest.raises(RecordError):
             sweep_from_record({"family": "pure", "param": "n", "start": 0, "stop": 1})
+
+    @pytest.mark.parametrize(
+        "start, stop",
+        [(-math.inf, 0.9), (0.1, math.inf), (math.nan, 0.9), (-1e308, 1e308)],
+    )
+    def test_non_finite_range_rejected(self, start, stop):
+        record = {"family": "pure", "param": "n", "start": start, "stop": stop, "steps": 3}
+        with pytest.raises(RecordError, match="must be finite"):
+            sweep_from_record(record)
+
+    def test_steps_cap(self):
+        record = {"family": "pure", "param": "n", "start": 0.1, "stop": 0.9}
+        assert len(sweep_from_record({**record, "steps": MAX_SWEEP_STEPS}).values()) == MAX_SWEEP_STEPS
+        with pytest.raises(RecordError, match="steps must lie in"):
+            sweep_from_record({**record, "steps": MAX_SWEEP_STEPS + 1})
+        with pytest.raises(RecordError, match="steps must lie in"):
+            sweep_from_record({**record, "steps": 10**12})

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qcorr.errors import StateError
-from qcorr.linalg import kron
 from qcorr.states import (
     DensityMatrix,
     ProbTable2x2,
@@ -169,7 +168,7 @@ class TestClassicalQuantum:
         a1 = (0.3, -0.2, 0.4)
         rho = cq_state(1.0, 0.4, 0.9, a1, (0, 0, 1))
         p1, _ = projector_pair(0.4, 0.9)
-        assert np.allclose(rho.mat, kron(p1, qubit_state(a1)), atol=1e-14)
+        assert np.allclose(rho.mat, np.kron(p1, qubit_state(a1)), atol=1e-14)
 
     def test_classical_mixture(self):
         rho = cq_state(0.5, 0.0, 0.0, (0, 0, 1), (0, 0, -1))
@@ -332,7 +331,7 @@ class TestPartialTrace:
             a = a / np.linalg.norm(a) * rng.random()
             b = rng.standard_normal(3)
             b = b / np.linalg.norm(b) * rng.random()
-            rho = DensityMatrix(kron(qubit_state(a), qubit_state(b)))
+            rho = DensityMatrix(np.kron(qubit_state(a), qubit_state(b)))
             assert np.abs(partial_trace(rho, "A") - qubit_state(a)).max() <= 1e-12
             assert np.abs(partial_trace(rho, "B") - qubit_state(b)).max() <= 1e-12
 
