@@ -101,22 +101,14 @@ def _cmd_measures(args) -> int:
 
 
 def _sweep_row(spec, value) -> dict:
-    row = {"value": repr(float(value)), "error": ""}
+    # DictWriter writes "" for every column a row leaves out.
+    row = {"value": repr(float(value))}
     try:
-        rho = state_from_record(spec.record_for(value))
-        rep = full_report(rho)
-        row.update(
-            mmc=repr(rep.mmc),
-            correlation_distance=repr(rep.correlation_distance),
-            negativity=repr(rep.negativity),
-            d1=repr(rep.d1),
-            t1=repr(rep.singular_values[0]),
-            t2=repr(rep.singular_values[1]),
-            t3=repr(rep.singular_values[2]),
-        )
+        record = report_to_record(full_report(state_from_record(spec.record_for(value))))
     except StateError as exc:
-        row.update({k: "" for k in SWEEP_COLUMNS[1:-1]})
         row["error"] = str(exc)
+        return row
+    row.update((key, repr(record[key])) for key in SWEEP_COLUMNS[1:-1])
     return row
 
 
@@ -157,13 +149,10 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_verify(args)
-    except RecordError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except StateError as exc:
+        print(f"invalid state: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
-        if isinstance(exc, StateError):
-            print(f"invalid state: {exc}", file=sys.stderr)
-            return 3
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,8 +21,8 @@ from .oracles import bloch_matrix, d1_oracle, frame_norms
 from .states import (
     DensityMatrix,
     XStateParams,
+    _pauli_coefficients,
     bloch_vectors,
-    correlation_tensor,
     is_x_shaped,
     partial_transpose,
 )
@@ -58,8 +58,8 @@ class MeasureReport:
 
 def covariance_matrix(rho: DensityMatrix) -> np.ndarray:
     """Q_ij = tr(rho sigma_i (x) sigma_j) - a_i b_j with marginal Bloch vectors a, b."""
-    a, b = bloch_vectors(rho)
-    return correlation_tensor(rho) - np.outer(a, b)
+    c = _pauli_coefficients(rho)
+    return c[1:, 1:] - np.outer(c[1:, 0], c[0, 1:])
 
 
 def singular_values_3(q) -> np.ndarray:

@@ -31,10 +31,9 @@ from .states import (
     _EYE2,
     _SIGMA,
     _as_mat,
+    _pauli_coefficients,
     DensityMatrix,
     ProbTable2x2,
-    bloch_vectors,
-    correlation_tensor,
     pauli,
     projector_pair,
 )
@@ -100,13 +99,12 @@ def disturbance_norms(rho, thetas, phis) -> np.ndarray:
 
 
 def bloch_matrix(rho) -> np.ndarray:
-    """R = [a | T]: A's Bloch vector beside the correlation tensor, 3x4.
+    """R = [a | T], rows 1..3 of the Pauli coefficients C_ij = tr(rho sigma_i (x) sigma_j), 3x4.
 
     ``rho - P(rho)`` does not involve B's Bloch vector, so every measurement
     disturbance is a function of R alone.
     """
-    a, _ = bloch_vectors(rho)
-    return np.column_stack([a, correlation_tensor(rho)])
+    return _pauli_coefficients(rho)[1:]
 
 
 def frame_norms(r, u, v):

@@ -29,7 +29,30 @@ from .states import (
     x_state,
 )
 
-FAMILIES = ("pure", "cq", "cc", "x", "rho_d", "rho_theta", "bell_diagonal", "raw")
+# Every family's parameters and their shapes, () for a scalar; a record may
+# carry no other parameter.
+_PARAM_SHAPES = {
+    "pure": {"n": ()},
+    "cq": {"p1": (), "theta": (), "phi": (), "a1": (3,), "a2": (3,)},
+    "cc": {"p": (2, 2), "theta_a": (), "phi_a": (), "theta_b": (), "phi_b": ()},
+    "x": dict.fromkeys(("rho11", "rho22", "rho33", "rho44", "rho14", "rho23"), ()),
+    "rho_d": {"w": (), "s": ()},
+    "rho_theta": {"theta": ()},
+    "bell_diagonal": {"c": (3,), "c1": (), "c2": (), "c3": ()},
+    "raw": {"re": (4, 4), "im": (4, 4)},
+}
+FAMILIES = tuple(_PARAM_SHAPES)
+
+
+def _check_names(family: str, names) -> None:
+    known = _PARAM_SHAPES[family]
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise RecordError(
+            f"unknown parameters {unknown} for family {family!r}; expected some of {tuple(known)}"
+        )
+    if "c" in names and any(name in names for name in ("c1", "c2", "c3")):
+        raise RecordError("give Bell-diagonal coefficients as 'c' or as 'c1', 'c2', 'c3', not both")
 
 
 def _number(params: dict, key: str, default=None) -> float:
@@ -77,6 +100,7 @@ def state_from_record(record) -> DensityMatrix:
     params = record.get("params")
     if not isinstance(params, dict):
         raise RecordError("state record must carry a 'params' mapping")
+    _check_names(family, params)
 
     if family == "pure":
         return pure_state(_number(params, "n"))
@@ -156,14 +180,11 @@ def report_to_record(report: MeasureReport) -> dict:
 # cap also bounds the array np.linspace allocates up front.
 MAX_SWEEP_STEPS = 10**6
 
+# The scalar parameters of each family that has any.
 SWEEPABLE_PARAMS = {
-    "pure": ("n",),
-    "cq": ("p1", "theta", "phi"),
-    "cc": ("theta_a", "phi_a", "theta_b", "phi_b"),
-    "x": ("rho11", "rho22", "rho33", "rho44", "rho14", "rho23"),
-    "rho_d": ("w", "s"),
-    "rho_theta": ("theta",),
-    "bell_diagonal": ("c1", "c2", "c3"),
+    family: tuple(name for name, shape in shapes.items() if shape == ())
+    for family, shapes in _PARAM_SHAPES.items()
+    if () in shapes.values()
 }
 
 
@@ -186,6 +207,9 @@ class SweepSpec:
                 f"parameter {self.param!r} is not sweepable for family {self.family!r}; "
                 f"choose from {SWEEPABLE_PARAMS[self.family]}"
             )
+        if self.param in self.fixed:
+            raise RecordError(f"parameter {self.param!r} is swept and cannot also be fixed")
+        _check_names(self.family, [*self.fixed, self.param])
         if not 2 <= self.steps <= MAX_SWEEP_STEPS:
             raise RecordError(f"steps must lie in [2, {MAX_SWEEP_STEPS}], got {self.steps}")
         if not math.isfinite(self.stop - self.start):

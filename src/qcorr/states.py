@@ -29,10 +29,8 @@ _SIGMA = np.array(
     dtype=complex,
 )
 _EYE2 = np.eye(2, dtype=complex)
-_EYE4 = np.eye(4, dtype=complex)
-_SIGMA_A = np.stack([np.kron(s, _EYE2) for s in _SIGMA])
-_SIGMA_B = np.stack([np.kron(_EYE2, s) for s in _SIGMA])
-_SIGMA_AB = np.stack([np.stack([np.kron(si, sj) for sj in _SIGMA]) for si in _SIGMA])
+# _PAULI[i, j] = sigma_i (x) sigma_j with sigma_0 = I, for i, j = 0..3.
+_PAULI = np.array([[np.kron(si, sj) for sj in (_EYE2, *_SIGMA)] for si in (_EYE2, *_SIGMA)])
 
 # Entries allowed to be nonzero in an X-shaped matrix: diagonal + anti-diagonal.
 _X_MASK = np.zeros((4, 4), dtype=bool)
@@ -127,7 +125,11 @@ def _as_mat(rho) -> np.ndarray:
 
 @dataclass(frozen=True)
 class XStateParams:
-    """Parameters of an X-shaped state: diagonal plus real non-negative anti-diagonal."""
+    """Parameters of an X-shaped state: diagonal plus real non-negative anti-diagonal.
+
+    Each 2x2 block must have eigenvalues >= PSD_TOL, the bound
+    :class:`DensityMatrix` applies, so every X-shaped density matrix passes.
+    """
 
     rho11: float
     rho22: float
@@ -137,15 +139,20 @@ class XStateParams:
     rho23: float
 
     def __post_init__(self):
-        vals = (self.rho11, self.rho22, self.rho33, self.rho44, self.rho14, self.rho23)
-        if not all(0.0 <= v < math.inf for v in vals):
-            raise StateError("X-state parameters must be finite and non-negative")
-        total = self.rho11 + self.rho22 + self.rho33 + self.rho44
+        diag = (self.rho11, self.rho22, self.rho33, self.rho44)
+        if not all(PSD_TOL <= v < math.inf for v in diag) or not all(
+            0.0 <= v < math.inf for v in (self.rho14, self.rho23)
+        ):
+            raise StateError(
+                f"X-state parameters must be finite, the diagonal at least {PSD_TOL:g} "
+                "and rho14, rho23 non-negative"
+            )
+        total = sum(diag)
         if abs(total - 1.0) > TRACE_TOL:
             raise StateError(f"X-state diagonal sums to {total:.15g}, expected 1")
-        if self.rho14**2 > self.rho11 * self.rho44 + 1e-12:
+        if self.rho14**2 > (self.rho11 - PSD_TOL) * (self.rho44 - PSD_TOL):
             raise StateError("X-state outer block violates rho14^2 <= rho11*rho44")
-        if self.rho23**2 > self.rho22 * self.rho33 + 1e-12:
+        if self.rho23**2 > (self.rho22 - PSD_TOL) * (self.rho33 - PSD_TOL):
             raise StateError("X-state inner block violates rho23^2 <= rho22*rho33")
 
     @classmethod
@@ -322,9 +329,7 @@ def bell_diagonal(c1: float, c2: float, c3: float) -> DensityMatrix:
             f"coefficients ({c1}, {c2}, {c3}) lie outside the Bell-diagonal "
             f"tetrahedron: eigenvalue {float(lam.min()):.3e}"
         )
-    m = 0.25 * (
-        _EYE4 + c1 * _SIGMA_AB[0, 0] + c2 * _SIGMA_AB[1, 1] + c3 * _SIGMA_AB[2, 2]
-    )
+    m = 0.25 * (_PAULI[0, 0] + c1 * _PAULI[1, 1] + c2 * _PAULI[2, 2] + c3 * _PAULI[3, 3])
     return DensityMatrix(m)
 
 
@@ -343,17 +348,20 @@ def partial_transpose(rho: DensityMatrix) -> np.ndarray:
     return rho.mat.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4).copy()
 
 
+def _pauli_coefficients(rho) -> np.ndarray:
+    """C_ij = tr(rho sigma_i (x) sigma_j), sigma_0 = I: a = C[1:, 0], b = C[0, 1:], T = C[1:, 1:]."""
+    return np.real(np.einsum("ijab,ba->ij", _PAULI, _as_mat(rho)))
+
+
 def bloch_vectors(rho) -> tuple[np.ndarray, np.ndarray]:
     """Marginal Bloch vectors (a, b) with a_i = tr(rho sigma_i (x) I), b_j = tr(rho I (x) sigma_j).
 
     ``rho`` is a :class:`DensityMatrix` or a raw 4x4 array.
     """
-    mat = _as_mat(rho)
-    a = np.real(np.einsum("kab,ba->k", _SIGMA_A, mat))
-    b = np.real(np.einsum("kab,ba->k", _SIGMA_B, mat))
-    return a, b
+    c = _pauli_coefficients(rho)
+    return c[1:, 0], c[0, 1:]
 
 
 def correlation_tensor(rho) -> np.ndarray:
     """3x3 matrix of raw correlations T_ij = tr(rho sigma_i (x) sigma_j); ``rho`` as in :func:`bloch_vectors`."""
-    return np.real(np.einsum("ijab,ba->ij", _SIGMA_AB, _as_mat(rho)))
+    return _pauli_coefficients(rho)[1:, 1:]

@@ -58,16 +58,10 @@ class VerifyResult:
     expected: float
     actual: float
     tolerance: float
-    passed: bool | None = None
 
-    def __post_init__(self):
-        computed = abs(self.expected - self.actual) <= self.tolerance
-        if self.passed is None:
-            object.__setattr__(self, "passed", computed)
-        elif bool(self.passed) != computed:
-            raise ValueError(
-                f"passed flag for {self.check_id} contradicts expected/actual/tolerance"
-            )
+    @property
+    def passed(self) -> bool:
+        return abs(self.expected - self.actual) <= self.tolerance
 
 
 def format_line(result: VerifyResult) -> str:

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from qcorr import cli, measures
+from qcorr.stateio import report_to_record, state_from_record
 from qcorr.verify import VerifyResult, near_werner_params
 
 
@@ -136,6 +138,19 @@ class TestMeasures:
         rec = json.loads(out)
         assert rec["d1_method"] == "closed_form"
         assert rec["d1"] == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "diagonal, rho14",
+        [((0.25, 0.25, 0.25, 0.25), 0.25 + 5e-11), ((-5e-11, 0.5, 0.25, 0.25 + 5e-11), 0.0)],
+    )
+    def test_x_record_at_psd_tolerance_takes_closed_form(self, capsys, diagonal, rho14):
+        # Both matrices have an eigenvalue of -5e-11, which DensityMatrix accepts.
+        re = np.diag(diagonal)
+        re[0, 3] = re[3, 0] = rho14
+        record = {"family": "raw", "params": {"re": re.tolist(), "im": np.zeros((4, 4)).tolist()}}
+        code, out, err = run_cli(capsys, "measures", "--inline", json.dumps(record))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["d1_method"] == "closed_form"
 
     def test_requires_exactly_one_source(self, capsys):
         code, _, _ = run_cli(capsys, "measures")
@@ -272,10 +287,53 @@ class TestSweep:
         assert stdout == ""
         assert err.startswith("error: ")
 
+    def test_columns_are_the_report_record(self, capsys):
+        record = {"family": "rho_theta", "param": "theta", "start": 0.2, "stop": 1.2, "steps": 3}
+        code, out, _ = run_cli(capsys, "sweep", "--inline", json.dumps(record))
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        for row in rows:
+            theta = float(row["value"])
+            rho = state_from_record({"family": "rho_theta", "params": {"theta": theta}})
+            expected = report_to_record(measures.full_report(rho))
+            assert {k: row[k] for k in cli.SWEEP_COLUMNS[1:-1]} == {
+                k: repr(expected[k]) for k in cli.SWEEP_COLUMNS[1:-1]
+            }
+            assert row["error"] == ""
+
     def test_bad_sweep_record_exit_2(self, capsys):
         record = {"family": "pure", "param": "w", "start": 0.1, "stop": 0.5, "steps": 3}
         code, _, _ = run_cli(capsys, "sweep", "--inline", json.dumps(record))
         assert code == 2
+
+
+# Each record names a parameter that its state has no use for.
+_CC = {"p": [[0.4, 0.1], [0.2, 0.3]], "theta_a": 0.3, "phi_a": 0.0}
+_RANGE = {"start": 0.01, "stop": 0.2, "steps": 3}
+IGNORED_PARAMETER_RECORDS = {
+    "unknown pure parameter": ("measures", {"family": "pure", "params": {"n": 0.5, "bogus": 1}}),
+    "misspelt cc angle": ("measures", {"family": "cc", "params": {**_CC, "theta_B": 1.0}}),
+    "swept parameter also fixed": (
+        "sweep",
+        {"family": "rho_d", "param": "s", **_RANGE, "fixed": {"w": 0.1, "s": 0.1}},
+    ),
+    "c beside swept c1": (
+        "sweep",
+        {"family": "bell_diagonal", "param": "c1", **_RANGE, "fixed": {"c": [0.1, 0.2, 0.3]}},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IGNORED_PARAMETER_RECORDS))
+def test_ignored_parameter_exit_2_before_any_output(capsys, monkeypatch, case):
+    def no_rows(rho):
+        pytest.fail("a report was computed for a rejected record")
+
+    monkeypatch.setattr(cli, "full_report", no_rows)
+    command, record = IGNORED_PARAMETER_RECORDS[case]
+    code, out, err = run_cli(capsys, command, "--inline", json.dumps(record))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 class TestVerify:
@@ -298,6 +356,12 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify")
         assert code == 4
         assert "FAIL fabricated.check" in out
+
+    def test_passed_is_derived_not_set(self):
+        assert not VerifyResult("derived.check", 1.0, 0.0, 0.5).passed
+        assert VerifyResult("derived.check", 1.0, 0.75, 0.5).passed
+        with pytest.raises(TypeError):
+            VerifyResult("derived.check", 1.0, 0.75, 0.5, passed=True)
 
     def test_default_seed_flag_changes_nothing(self, capsys):
         # a flag overrides only its own field; the bulk ensembles keep their grid

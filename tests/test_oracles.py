@@ -22,13 +22,16 @@ from qcorr.states import (
     DensityMatrix,
     ProbTable2x2,
     bell_diagonal,
+    bloch_vectors,
     cc_state,
+    correlation_tensor,
     cq_state,
     pure_state,
     qubit_state,
     rho_d,
+    x_state,
 )
-from qcorr.verify import CLOSED_TOL, random_bloch_vector, random_density_matrix
+from qcorr.verify import CLOSED_TOL, random_bloch_vector, random_density_matrix, random_x_params
 
 BULK = SearchConfig(coarse_grid=(32, 64), refine_iters=40, seed=0)
 
@@ -204,6 +207,15 @@ class TestFrameNorms:
     def test_raw_array_gives_same_bloch_matrix(self):
         rho = random_density_matrix(np.random.default_rng(137))
         assert np.array_equal(bloch_matrix(rho), bloch_matrix(rho.mat))
+
+    def test_bloch_matrix_is_a_beside_t_bit_for_bit(self):
+        rng = np.random.default_rng(151)
+        for _ in range(20):
+            for rho in (random_density_matrix(rng), x_state(random_x_params(rng))):
+                a, _ = bloch_vectors(rho)
+                expected = np.column_stack([a, correlation_tensor(rho)])
+                for arg in (rho, rho.mat):
+                    assert bloch_matrix(arg).tobytes() == expected.tobytes()
 
 
 class TestD1Oracle:

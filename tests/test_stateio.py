@@ -8,6 +8,7 @@ from qcorr.errors import RecordError, StateError
 from qcorr.measures import full_report
 from qcorr.stateio import (
     MAX_SWEEP_STEPS,
+    SWEEPABLE_PARAMS,
     SweepSpec,
     report_to_record,
     state_from_record,
@@ -70,6 +71,11 @@ class TestStateFromRecord:
         expected = bell_diagonal(0.5, -0.3, 0.2)
         assert np.abs(by_vector.mat - expected.mat).max() == 0.0
         assert np.abs(by_scalars.mat - expected.mat).max() == 0.0
+
+    def test_vector_and_scalar_coefficients_together_rejected(self):
+        params = {"c": [0.5, -0.3, 0.2], "c1": 0.5}
+        with pytest.raises(RecordError, match="not both"):
+            state_from_record({"family": "bell_diagonal", "params": params})
 
     def test_raw_identity_quarter(self):
         re = (np.eye(4) / 4).tolist()
@@ -164,6 +170,17 @@ class TestSweepSpec:
         )
         rho = state_from_record(spec.record_for(0.4))
         assert np.abs(rho.mat - bell_diagonal(0.4, -0.3, 0.2).mat).max() == 0.0
+
+    def test_sweepable_parameters_are_the_scalar_ones(self):
+        assert SWEEPABLE_PARAMS == {
+            "pure": ("n",),
+            "cq": ("p1", "theta", "phi"),
+            "cc": ("theta_a", "phi_a", "theta_b", "phi_b"),
+            "x": ("rho11", "rho22", "rho33", "rho44", "rho14", "rho23"),
+            "rho_d": ("w", "s"),
+            "rho_theta": ("theta",),
+            "bell_diagonal": ("c1", "c2", "c3"),
+        }
 
     def test_invalid_specs(self):
         with pytest.raises(RecordError):

@@ -5,6 +5,10 @@ import pytest
 
 from qcorr.errors import StateError
 from qcorr.states import (
+    _PAULI,
+    _pauli_coefficients,
+    PSD_TOL,
+    TRACE_TOL,
     DensityMatrix,
     ProbTable2x2,
     XStateParams,
@@ -25,6 +29,7 @@ from qcorr.states import (
     rho_theta,
     x_state,
 )
+from qcorr.verify import random_density_matrix
 
 
 def axis_of(theta, phi):
@@ -263,6 +268,18 @@ class TestXState:
         with pytest.raises(StateError):
             XStateParams(0.25, 0.25, 0.25, 0.25, -0.1, 0.0)
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            (0.25, 0.25, 0.25, 0.25, 0.25 - 0.5 * PSD_TOL, 0.0),
+            (0.5 * PSD_TOL, 0.5, 0.25, 0.25 - 0.5 * PSD_TOL, 0.0, 0.0),
+        ],
+    )
+    def test_accepts_blocks_down_to_psd_tolerance(self, params):
+        # Eigenvalues down to PSD_TOL pass DensityMatrix, so they must pass here.
+        rebuilt = XStateParams.from_density_matrix(x_state(XStateParams(*params)))
+        assert rebuilt == XStateParams(*params)
+
     def test_rejects_nan_parameter(self):
         with pytest.raises(StateError, match="finite"):
             XStateParams(0.25, 0.25, 0.25, 0.25, math.nan, 0.0)
@@ -393,6 +410,15 @@ class TestBlochAndCorrelation:
     def test_pure_state_tensor(self):
         t = correlation_tensor(pure_state(0.6))
         assert np.allclose(t, np.diag([0.6, -0.6, 1.0]), atol=1e-12)
+
+    def test_pauli_coefficients_rebuild_the_state(self):
+        rng = np.random.default_rng(149)
+        for _ in range(50):
+            rho = random_density_matrix(rng)
+            c = _pauli_coefficients(rho)
+            assert abs(c[0, 0] - 1.0) <= TRACE_TOL
+            rebuilt = np.einsum("ij,ijab->ab", c, _PAULI) / 4
+            assert np.abs(rebuilt - rho.mat).max() <= 1e-12
 
 
 class TestXPattern:
