@@ -1,9 +1,12 @@
 """Tagged-record serialization for states, sweeps, and measure reports.
 
-A state record is a mapping {"family": <name>, "params": {...}} with
-family-specific numeric parameters; "raw" supplies a full 4x4 matrix as two
-real arrays.  Floats are emitted with ``repr`` so every value round-trips
-bit-exactly through JSON.
+A state record is {"family": <name>, "params": {...}} and nothing else; "raw"
+supplies a full 4x4 matrix as two real arrays.  ``_FAMILIES`` is the schema.
+A record is read in two phases: checking it against the table raises only
+:class:`RecordError` (an unknown key, an unknown, missing or ill-typed
+parameter), and only then does the family constructor run, raising only
+:class:`StateError`.  A sweep checks its record before any row.  Floats are
+emitted with ``repr`` so every value round-trips bit-exactly through JSON.
 """
 
 from __future__ import annotations
@@ -29,117 +32,94 @@ from .states import (
     x_state,
 )
 
-# Every family's parameters and their shapes, () for a scalar; a record may
-# carry no other parameter.
-_PARAM_SHAPES = {
-    "pure": {"n": ()},
-    "cq": {"p1": (), "theta": (), "phi": (), "a1": (3,), "a2": (3,)},
-    "cc": {"p": (2, 2), "theta_a": (), "phi_a": (), "theta_b": (), "phi_b": ()},
-    "x": dict.fromkeys(("rho11", "rho22", "rho33", "rho44", "rho14", "rho23"), ()),
-    "rho_d": {"w": (), "s": ()},
-    "rho_theta": {"theta": ()},
-    "bell_diagonal": {"c": (3,), "c1": (), "c2": (), "c3": ()},
-    "raw": {"re": (4, 4), "im": (4, 4)},
+# Each family's constructor, called with the record's parameters as keywords,
+# and the shape of every parameter it may carry, () for a real number.
+_FAMILIES = {
+    "pure": (pure_state, {"n": ()}),
+    "cq": (cq_state, {"p1": (), "theta": (), "phi": (), "a1": (3,), "a2": (3,)}),
+    "cc": (
+        lambda p, **angles: cc_state(ProbTable2x2.from_array(p), **angles),
+        {"p": (2, 2), "theta_a": (), "phi_a": (), "theta_b": (), "phi_b": ()},
+    ),
+    "x": (
+        lambda **entries: x_state(XStateParams(**entries)),
+        dict.fromkeys(("rho11", "rho22", "rho33", "rho44", "rho14", "rho23"), ()),
+    ),
+    "rho_d": (rho_d, {"w": (), "s": ()}),
+    "rho_theta": (rho_theta, {"theta": ()}),
+    # "c" stands for c1, c2, c3 together.
+    "bell_diagonal": (bell_diagonal, {"c": (3,), "c1": (), "c2": (), "c3": ()}),
+    "raw": (lambda re, im: DensityMatrix(re + 1j * im), {"re": (4, 4), "im": (4, 4)}),
 }
-FAMILIES = tuple(_PARAM_SHAPES)
+# Every other parameter is required.
+_OPTIONAL = frozenset({"theta_b", "phi_b", "c"})
+FAMILIES = tuple(_FAMILIES)
 
 
-def _check_names(family: str, names) -> None:
-    known = _PARAM_SHAPES[family]
-    unknown = [name for name in names if name not in known]
+def _check_keys(what: str, record, allowed: tuple[str, ...]) -> None:
+    if not isinstance(record, dict):
+        raise RecordError(f"{what} record must be a mapping, got {type(record).__name__}")
+    unknown = [key for key in record if key not in allowed]
+    if unknown:
+        raise RecordError(f"unknown keys {unknown} in {what} record; expected some of {allowed}")
+
+
+def _real_type(t: type) -> bool:
+    # float and int, the types JSON numbers parse to, skip the slower ABC check.
+    return t is float or t is int or (issubclass(t, numbers.Real) and not issubclass(t, bool))
+
+
+def _read(name: str, value, shape: tuple[int, ...]):
+    """``value`` as a float if ``shape`` is (), else as a float array of ``shape``."""
+    try:
+        if not shape:
+            if _real_type(type(value)):
+                return float(value)
+        else:
+            arr = np.array(value, dtype=object)
+            # One check per element type, not per element.
+            if arr.shape == shape and all(map(_real_type, set(map(type, arr.flat)))):
+                return arr.astype(float)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    what = "a real number" if not shape else f"an array of real numbers of shape {shape}"
+    raise RecordError(f"parameter {name!r} must be {what}, got {value!r}")
+
+
+def _read_params(family: str, params: dict) -> dict:
+    """Check ``params`` against the family's table and read every value; raises only RecordError."""
+    shapes = _FAMILIES[family][1]
+    unknown = [name for name in params if name not in shapes]
     if unknown:
         raise RecordError(
-            f"unknown parameters {unknown} for family {family!r}; expected some of {tuple(known)}"
+            f"unknown parameters {unknown} for family {family!r}; expected some of {tuple(shapes)}"
         )
-    if "c" in names and any(name in names for name in ("c1", "c2", "c3")):
+    if "c" in params and not params.keys().isdisjoint(("c1", "c2", "c3")):
         raise RecordError("give Bell-diagonal coefficients as 'c' or as 'c1', 'c2', 'c3', not both")
-
-
-def _number(params: dict, key: str, default=None) -> float:
-    if key not in params:
-        if default is not None:
-            return default
-        raise RecordError(f"missing parameter {key!r}")
-    value = params[key]
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise RecordError(f"parameter {key!r} must be a real number, got {value!r}")
-    return float(value)
-
-
-def _array(params: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    if key not in params:
-        raise RecordError(f"missing parameter {key!r}")
-    try:
-        arr = np.asarray(params[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise RecordError(f"parameter {key!r} must be a numeric array") from exc
-    if arr.shape != shape:
-        raise RecordError(f"parameter {key!r} must have shape {shape}, got {arr.shape}")
-    return arr
-
-
-def _bell_coeffs(params: dict) -> tuple[float, float, float]:
-    if "c" in params:
-        c = _array(params, "c", (3,))
-        return float(c[0]), float(c[1]), float(c[2])
-    return (_number(params, "c1"), _number(params, "c2"), _number(params, "c3"))
+    values = {name: _read(name, value, shapes[name]) for name, value in params.items()}
+    if "c" in values:
+        values.update(zip(("c1", "c2", "c3"), values.pop("c").tolist()))
+    for name in shapes:
+        if name not in values and name not in _OPTIONAL:
+            raise RecordError(f"missing parameter {name!r}")
+    return values
 
 
 def state_from_record(record) -> DensityMatrix:
     """Build a density matrix from a tagged record.
 
-    Malformed records raise :class:`RecordError`; structurally fine records
-    whose parameters describe an invalid state raise :class:`StateError` from
-    the family constructor.
+    Malformed records raise :class:`RecordError` before any state is built;
+    well-formed records whose parameters describe an invalid state raise
+    :class:`StateError` from the family constructor.
     """
-    if not isinstance(record, dict):
-        raise RecordError(f"state record must be a mapping, got {type(record).__name__}")
+    _check_keys("state", record, ("family", "params"))
     family = record.get("family")
     if family not in FAMILIES:
         raise RecordError(f"unknown state family {family!r}; expected one of {FAMILIES}")
     params = record.get("params")
     if not isinstance(params, dict):
         raise RecordError("state record must carry a 'params' mapping")
-    _check_names(family, params)
-
-    if family == "pure":
-        return pure_state(_number(params, "n"))
-    if family == "cq":
-        return cq_state(
-            _number(params, "p1"),
-            _number(params, "theta"),
-            _number(params, "phi"),
-            _array(params, "a1", (3,)),
-            _array(params, "a2", (3,)),
-        )
-    if family == "cc":
-        table = ProbTable2x2.from_array(_array(params, "p", (2, 2)))
-        theta_a = _number(params, "theta_a")
-        phi_a = _number(params, "phi_a")
-        theta_b = _number(params, "theta_b") if "theta_b" in params else None
-        phi_b = _number(params, "phi_b") if "phi_b" in params else None
-        return cc_state(table, theta_a, phi_a, theta_b, phi_b)
-    if family == "x":
-        return x_state(
-            XStateParams(
-                rho11=_number(params, "rho11"),
-                rho22=_number(params, "rho22"),
-                rho33=_number(params, "rho33"),
-                rho44=_number(params, "rho44"),
-                rho14=_number(params, "rho14"),
-                rho23=_number(params, "rho23"),
-            )
-        )
-    if family == "rho_d":
-        return rho_d(_number(params, "w"), _number(params, "s"))
-    if family == "rho_theta":
-        return rho_theta(_number(params, "theta"))
-    if family == "bell_diagonal":
-        return bell_diagonal(*_bell_coeffs(params))
-    # raw
-    re = _array(params, "re", (4, 4))
-    im = _array(params, "im", (4, 4))
-    return DensityMatrix(re + 1j * im)
+    return _FAMILIES[family][0](**_read_params(family, params))
 
 
 def state_to_record(rho: DensityMatrix) -> dict:
@@ -183,7 +163,7 @@ MAX_SWEEP_STEPS = 10**6
 # The scalar parameters of each family that has any.
 SWEEPABLE_PARAMS = {
     family: tuple(name for name, shape in shapes.items() if shape == ())
-    for family, shapes in _PARAM_SHAPES.items()
+    for family, (_, shapes) in _FAMILIES.items()
     if () in shapes.values()
 }
 
@@ -200,7 +180,7 @@ class SweepSpec:
     fixed: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.family not in SWEEPABLE_PARAMS:
+        if not isinstance(self.family, str) or self.family not in SWEEPABLE_PARAMS:
             raise RecordError(f"family {self.family!r} cannot be swept")
         if self.param not in SWEEPABLE_PARAMS[self.family]:
             raise RecordError(
@@ -209,7 +189,7 @@ class SweepSpec:
             )
         if self.param in self.fixed:
             raise RecordError(f"parameter {self.param!r} is swept and cannot also be fixed")
-        _check_names(self.family, [*self.fixed, self.param])
+        _read_params(self.family, {**self.fixed, self.param: self.start})
         if not 2 <= self.steps <= MAX_SWEEP_STEPS:
             raise RecordError(f"steps must lie in [2, {MAX_SWEEP_STEPS}], got {self.steps}")
         if not math.isfinite(self.stop - self.start):
@@ -229,9 +209,9 @@ class SweepSpec:
 
 
 def sweep_from_record(record) -> SweepSpec:
-    if not isinstance(record, dict):
-        raise RecordError(f"sweep record must be a mapping, got {type(record).__name__}")
-    for key in ("family", "param", "start", "stop", "steps"):
+    required = ("family", "param", "start", "stop", "steps")
+    _check_keys("sweep", record, (*required, "fixed"))
+    for key in required:
         if key not in record:
             raise RecordError(f"sweep record is missing {key!r}")
     steps = record["steps"]
@@ -243,8 +223,8 @@ def sweep_from_record(record) -> SweepSpec:
     return SweepSpec(
         family=record["family"],
         param=record["param"],
-        start=_number(record, "start"),
-        stop=_number(record, "stop"),
+        start=_read("start", record["start"], ()),
+        stop=_read("stop", record["stop"], ()),
         steps=int(steps),
         fixed=dict(fixed),
     )

@@ -66,6 +66,8 @@ def projector_pair(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
 
     P1 + P2 = I, P1 P2 = 0, and P1[0, 0] = cos(theta)^2.
     """
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise StateError(f"projector angles must be finite, got ({theta}, {phi})")
     ct2 = math.cos(theta) ** 2
     st2 = math.sin(theta) ** 2
     off = 0.5 * math.sin(2.0 * theta) * cmath.exp(-1j * phi)

@@ -307,20 +307,61 @@ class TestSweep:
         assert code == 2
 
 
-# Each record names a parameter that its state has no use for.
-_CC = {"p": [[0.4, 0.1], [0.2, 0.3]], "theta_a": 0.3, "phi_a": 0.0}
+# Each case is a record error: an unknown, missing or ill-typed parameter, or
+# an unknown key.  Cases given for both commands put the same parameters in a
+# measures record and in a sweep's fixed parameters, with the swept value
+# added to the former.
 _RANGE = {"start": 0.01, "stop": 0.2, "steps": 3}
+_CC = {"p": [[0.4, 0.1], [0.2, 0.3]], "phi_a": 0.0}
+_CQ = {"theta": 0.3, "phi": 0.0, "a1": [1, 0, 0], "a2": [0, 0, 1]}
+_HUGE = 10**400  # a JSON integer beyond the float range
+_RAW = {"re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist()}
+
+
+def _both(family, param, fixed):
+    return {
+        "measures": {"family": family, "params": {**fixed, param: _RANGE["start"]}},
+        "sweep": {"family": family, "param": param, **_RANGE, "fixed": fixed},
+    }
+
+
 IGNORED_PARAMETER_RECORDS = {
-    "unknown pure parameter": ("measures", {"family": "pure", "params": {"n": 0.5, "bogus": 1}}),
-    "misspelt cc angle": ("measures", {"family": "cc", "params": {**_CC, "theta_B": 1.0}}),
-    "swept parameter also fixed": (
-        "sweep",
-        {"family": "rho_d", "param": "s", **_RANGE, "fixed": {"w": 0.1, "s": 0.1}},
-    ),
-    "c beside swept c1": (
-        "sweep",
-        {"family": "bell_diagonal", "param": "c1", **_RANGE, "fixed": {"c": [0.1, 0.2, 0.3]}},
-    ),
+    "unknown pure parameter": _both("pure", "n", {"bogus": 1}),
+    "misspelt cc angle": _both("cc", "theta_a", {**_CC, "theta_B": 1.0}),
+    "swept parameter also fixed": {
+        "sweep": {"family": "rho_d", "param": "s", **_RANGE, "fixed": {"w": 0.1, "s": 0.1}},
+    },
+    "c beside swept c1": _both("bell_diagonal", "c1", {"c": [0.1, 0.2, 0.3]}),
+    "cc table without angles": {
+        "measures": {"family": "cc", "params": {"p": [[2, 0], [0, -1]]}},
+        "sweep": {"family": "cc", "param": "phi_a", **_RANGE, "fixed": {"p": [[2, 0], [0, -1]]}},
+    },
+    "missing rho_d w": _both("rho_d", "s", {}),
+    "string rho_d w": _both("rho_d", "s", {"w": "big"}),
+    "bool rho_d w": _both("rho_d", "s", {"w": True}),
+    "huge rho_d w": _both("rho_d", "s", {"w": _HUGE}),
+    "bell c1 without c3": _both("bell_diagonal", "c1", {"c2": 0.1}),
+    "short cq vector": _both("cq", "p1", {**_CQ, "a1": [1, 0]}),
+    "bool cq vector": _both("cq", "p1", {**_CQ, "a1": [True, False, False]}),
+    "string cq vector": _both("cq", "p1", {**_CQ, "a2": ["0", "0", "1"]}),
+    "huge cq vector entry": _both("cq", "p1", {**_CQ, "a2": [0, 0, _HUGE]}),
+    "string raw matrix": {
+        "measures": {
+            "family": "raw",
+            "params": {**_RAW, "re": [list(map(str, row)) for row in _RAW["re"]]},
+        },
+    },
+    "nested raw entry": {
+        "measures": {"family": "raw", "params": {**_RAW, "im": [[0, 0, 0, [0]], *_RAW["im"][1:]]}},
+    },
+    "unknown top-level key": {
+        "measures": {"family": "rho_d", "params": {"w": 0.1, "s": 0.1}, "parms": {}},
+        "sweep": {"family": "rho_d", "param": "s", **_RANGE, "fixd": {"w": 0.1}},
+    },
+    "list as family": {
+        "measures": {"family": ["rho_d"], "params": {"w": 0.1, "s": 0.1}},
+        "sweep": {"family": ["rho_d"], "param": "s", **_RANGE, "fixed": {"w": 0.1}},
+    },
 }
 
 
@@ -330,10 +371,23 @@ def test_ignored_parameter_exit_2_before_any_output(capsys, monkeypatch, case):
         pytest.fail("a report was computed for a rejected record")
 
     monkeypatch.setattr(cli, "full_report", no_rows)
-    command, record = IGNORED_PARAMETER_RECORDS[case]
-    code, out, err = run_cli(capsys, command, "--inline", json.dumps(record))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ")
+    for command, record in IGNORED_PARAMETER_RECORDS[case].items():
+        code, out, err = run_cli(capsys, command, "--inline", json.dumps(record))
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error: "), command
+
+
+def test_infinite_angle_is_an_invalid_state(capsys):
+    fixed = {"theta": math.inf, "phi": 0.0, "a1": [1, 0, 0], "a2": [0, 0, 1]}
+    record = {"family": "cq", "params": {**fixed, "p1": 0.3}}
+    code, out, err = run_cli(capsys, "measures", "--inline", json.dumps(record))
+    assert (code, out) == (3, "")
+    assert err.startswith("invalid state:") and "finite" in err
+    record = {"family": "cq", "param": "p1", **_RANGE, "fixed": fixed}
+    code, out, _ = run_cli(capsys, "sweep", "--inline", json.dumps(record))
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert code == 0 and len(rows) == 3
+    assert all("finite" in row["error"] and row["mmc"] == "" for row in rows)
 
 
 class TestVerify:

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ import pytest
 from qcorr.errors import RecordError, StateError
 from qcorr.measures import full_report
 from qcorr.stateio import (
+    _FAMILIES,
+    FAMILIES,
     MAX_SWEEP_STEPS,
     SWEEPABLE_PARAMS,
     SweepSpec,
@@ -15,7 +19,18 @@ from qcorr.stateio import (
     state_to_record,
     sweep_from_record,
 )
-from qcorr.states import bell_diagonal, pure_state, rho_theta
+from qcorr.states import (
+    DensityMatrix,
+    ProbTable2x2,
+    XStateParams,
+    bell_diagonal,
+    cc_state,
+    cq_state,
+    pure_state,
+    rho_d,
+    rho_theta,
+    x_state,
+)
 from qcorr.verify import random_density_matrix
 
 
@@ -106,6 +121,56 @@ class TestStateFromRecord:
     def test_bad_shape(self):
         with pytest.raises(RecordError, match="shape"):
             state_from_record({"family": "raw", "params": {"re": [[1.0]], "im": [[0.0]]}})
+
+
+_X = {"rho11": 0.1, "rho22": 0.2, "rho33": 0.3, "rho44": 0.4, "rho14": 0.15, "rho23": 0.2}
+_CC = {"p": [[0.4, 0.1], [0.2, 0.3]], "theta_a": 0.3, "phi_a": 0.2}
+_CC_TABLE = ProbTable2x2(0.4, 0.1, 0.2, 0.3)
+_CQ = {"p1": 0.3, "theta": 0.4, "phi": 1.1, "a1": [1, 0, 0], "a2": [0, 0.6, 0.8]}
+_COMPLEX = cq_state(0.3, 0.4, 1.1, [1, 0, 0], [0, 0.6, 0.8]).mat
+# Each family record beside the direct constructor call it must reproduce.
+RECORD_BUILDS = {
+    "pure": ("pure", {"n": 0.6}, lambda: pure_state(0.6)),
+    "cq": ("cq", _CQ, lambda: cq_state(0.3, 0.4, 1.1, [1, 0, 0], [0, 0.6, 0.8])),
+    "cc default b": ("cc", _CC, lambda: cc_state(_CC_TABLE, 0.3, 0.2)),
+    "cc explicit b": (
+        "cc",
+        {**_CC, "theta_b": 1.0, "phi_b": 2.5},
+        lambda: cc_state(_CC_TABLE, 0.3, 0.2, 1.0, 2.5),
+    ),
+    "x": ("x", _X, lambda: x_state(XStateParams(**_X))),
+    "rho_d": ("rho_d", {"w": 0.1, "s": 0.2}, lambda: rho_d(0.1, 0.2)),
+    "rho_theta": ("rho_theta", {"theta": 0.7}, lambda: rho_theta(0.7)),
+    "bell c": ("bell_diagonal", {"c": [0.5, -0.3, 0.2]}, lambda: bell_diagonal(0.5, -0.3, 0.2)),
+    "bell c1 c2 c3": (
+        "bell_diagonal",
+        {"c1": 0.5, "c2": -0.3, "c3": 0.2},
+        lambda: bell_diagonal(0.5, -0.3, 0.2),
+    ),
+    "raw": (
+        "raw",
+        {"re": _COMPLEX.real.tolist(), "im": _COMPLEX.imag.tolist()},
+        lambda: DensityMatrix(_COMPLEX),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_BUILDS))
+def test_record_builds_the_constructor_state(case):
+    family, params, build = RECORD_BUILDS[case]
+    rho = state_from_record(json.loads(json.dumps({"family": family, "params": params})))
+    assert rho.mat.tobytes() == build().mat.tobytes()
+
+
+def test_readme_record_table_lists_every_parameter():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| family | params |\n|---|---|\n")[1].split("\n\n")[0]
+    listed = {}
+    for row in table.splitlines():
+        family, params = row.strip("|").split("|")
+        listed[family.strip().strip("`")] = set(re.findall(r"`(\w+)`", params))
+    assert listed == {family: set(shapes) for family, (_, shapes) in _FAMILIES.items()}
+    assert tuple(listed) == FAMILIES
 
 
 class TestRoundTrip:
