@@ -17,12 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, StateError
-from .oracles import bloch_matrix, d1_oracle, frame_norms
+from .oracles import _d1_search, bloch_matrix, frame_norms
 from .states import (
     DensityMatrix,
     XStateParams,
     _pauli_coefficients,
-    bloch_vectors,
     is_x_shaped,
     partial_transpose,
 )
@@ -56,10 +55,14 @@ class MeasureReport:
             )
 
 
+def _covariance(c: np.ndarray) -> np.ndarray:
+    # Q = T - a b^T from the Pauli coefficients C.
+    return c[1:, 1:] - np.outer(c[1:, 0], c[0, 1:])
+
+
 def covariance_matrix(rho: DensityMatrix) -> np.ndarray:
     """Q_ij = tr(rho sigma_i (x) sigma_j) - a_i b_j with marginal Bloch vectors a, b."""
-    c = _pauli_coefficients(rho)
-    return c[1:, 1:] - np.outer(c[1:, 0], c[0, 1:])
+    return _covariance(_pauli_coefficients(rho))
 
 
 def singular_values_3(q) -> np.ndarray:
@@ -148,7 +151,11 @@ def _d1_eigen_axes(rho: DensityMatrix) -> float:
     (Dakic, Vedral & Brukner, PRL 105, 190502, 2010), and then the top
     eigen-axis gives 0 to rounding, which a grid search can miss.
     """
-    r = bloch_matrix(rho)
+    return _eigen_axes_min(bloch_matrix(rho))
+
+
+def _eigen_axes_min(r: np.ndarray) -> float:
+    # _d1_eigen_axes from R = bloch_matrix(rho).
     _, e = np.linalg.eigh(r @ r.T)
     rows, (e0, e1, e2) = r.tolist(), e.T.tolist()
     return min(frame_norms(rows, e1, e2), frame_norms(rows, e0, e2), frame_norms(rows, e0, e1))
@@ -162,12 +169,15 @@ def full_report(rho: DensityMatrix) -> MeasureReport:
     default ``d1_oracle`` search, which also tries the eigen-axes of M.  A
     finer search of one state is ``d1_oracle(rho, SearchConfig(...))``.
     """
-    t = singular_values_3(covariance_matrix(rho))
-    a, b = bloch_vectors(rho)
+    # One matrix of Pauli coefficients gives Q, a, b and R = C[1:].
+    c = _pauli_coefficients(rho)
+    t = singular_values_3(_covariance(c))
+    a, b = c[1:, 0], c[0, 1:]
     if is_x_shaped(rho.mat, X_PATTERN_TOL):
         d1, method = d1_x_state(XStateParams.from_density_matrix(rho))
     else:
-        d1, method = min(d1_oracle(rho), _d1_eigen_axes(rho)), "oracle"
+        r = c[1:]
+        d1, method = min(_d1_search(r), _eigen_axes_min(r)), "oracle"
     return MeasureReport(
         mmc=float(t[0]),
         correlation_distance=_distance_from_singular_values(t),

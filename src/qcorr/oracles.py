@@ -6,16 +6,28 @@ refinement, and the covariance-matrix norm is maximized by alternating
 optimization from a grid of unit-vector starts.  Results are reproducible
 bit-for-bit for a fixed :class:`SearchConfig`.
 
-The grid and the refinement evaluate the disturbance with :func:`frame_norms`,
-a closed expression in R = [a | T] and an orthonormal frame (u, v) normal to
-the axis.  A frame is passed as its three components.  For the grid they are
-arrays that broadcast over the (n_theta, n_phi) nodes, with the terms that
-depend on one angle only stored once per row or column; for the refinement
-they are plain floats, one compass candidate per call, with R's entries read
-as floats once per search.  Both go through the same kernel and the same
-rounding.  :func:`disturbance_norms` evaluates the same norm from the
-definition, by eigenvalues of rho - P(rho); it is the reference the kernel is
-tested against.
+Every disturbance value the d1 search returns or compares with ``<`` comes
+from :func:`frame_norms`, a closed expression in R = [a | T] and an
+orthonormal frame (u, v) normal to the axis.  A frame is passed as its three
+components.  For the grid they are arrays that broadcast over the
+(n_theta, n_phi) nodes, with the terms that depend on one angle only stored
+once per row or column; for the refinement they are plain floats, one compass
+candidate per call, with R's entries read as floats once per search.  Both go
+through the same kernel and the same rounding.  :func:`disturbance_norms`
+evaluates the same norm from the definition, by eigenvalues of rho - P(rho);
+it is the reference the kernel is tested against.
+
+The search ranks cheaply and decides with the kernel.  On the grid,
+:func:`_screen` evaluates the squared norm at every node as three products of
+polar features, a 6x6 weight matrix read off R R^T or R eta R^T, and azimuth
+features.  Only the rows with a node within a proven margin of the screen's
+minimum go through the kernel, and ``np.argmin`` over them picks the node
+(:func:`_grid_minimum`).  In the refinement each candidate is ranked with
+``math.hypot``, and only one whose rank lies within a proven relative margin
+of the best value is evaluated with ``np.hypot`` and compared
+(:func:`_d1_search`).  BLAS and ``math.hypot`` thus choose which candidates
+the kernel sees but never set a returned value, so the search returns the
+bits a kernel evaluation of every node and every candidate would.
 """
 
 from __future__ import annotations
@@ -107,6 +119,32 @@ def bloch_matrix(rho) -> np.ndarray:
     return _pauli_coefficients(rho)[1:]
 
 
+def _leg(r, w):
+    # x = w^T R for one frame vector w, with x0^2 and x1^2 + x2^2 + x3^2.
+    (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23) = r
+    w0, w1, w2 = w
+    x0 = w0 * r00 + w1 * r10 + w2 * r20
+    x1 = w0 * r01 + w1 * r11 + w2 * r21
+    x2 = w0 * r02 + w1 * r12 + w2 * r22
+    x3 = w0 * r03 + w1 * r13 + w2 * r23
+    return x0, x1, x2, x3, x0 * x0, x1 * x1 + x2 * x2 + x3 * x3
+
+
+def _terms(p, q):
+    # E, X and Y from the legs p = _leg(r, u) and q = _leg(r, v).
+    p0, p1, p2, p3, p00, pp = p
+    q0, q1, q2, q3, q00, qq = q
+    return p00 + pp + q00 + qq, p00 - pp - q00 + qq, 2.0 * (p0 * q0 - (p1 * q1 + p2 * q2 + p3 * q3))
+
+
+def _norm(e, x, y, hypot):
+    # sqrt((E + hypot(X, Y)) / 2); ``hypot`` is np.hypot for the kernel and
+    # math.hypot only to rank refine candidates.
+    half = 0.5 * (e + hypot(x, y))
+    # Both square roots are correctly rounded, so they agree bit for bit.
+    return np.sqrt(half) if isinstance(half, np.ndarray) else math.sqrt(half)
+
+
 def frame_norms(r, u, v):
     """Trace norms of rho - P_n(rho), from R = ``bloch_matrix(rho)``.
 
@@ -118,35 +156,23 @@ def frame_norms(r, u, v):
     broadcast against each other, as in :func:`_grid_frames`), or a float,
     giving the norm of one frame.  With p = u^T R, q = v^T R and the Lorentz
     product <x, y> = x0 y0 - x.y, the norm is
-    sqrt((|p|^2 + |q|^2 + hypot(<p,p> - <q,q>, 2<p,q>)) / 2), a sum of
-    non-negative terms with no cancellation (Ciccarello, Tufarelli &
-    Giovannetti, NJP 16, 013038, 2014).  Every sum is written out term by
-    term, left to right, so arrays and floats round alike and nothing depends
-    on BLAS.
+    sqrt((E + hypot(X, Y)) / 2) with E = |p|^2 + |q|^2, X = <p,p> - <q,q> and
+    Y = 2<p,q>, a sum of non-negative terms with no cancellation (Ciccarello,
+    Tufarelli & Giovannetti, NJP 16, 013038, 2014).  It is computed in two
+    legs, p with its squares from u and q with its squares from v, and their
+    combination; a refine move along u keeps v's leg and one along v keeps
+    u's.  Every sum is written out term by term, left to right, so arrays and
+    floats round alike and nothing depends on BLAS.  ``np.hypot`` serves
+    floats too: ``math.hypot`` rounds differently on some pairs, and a refined
+    frame must give the bits its grid node gives.
     """
-    (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23) = r
-    u0, u1, u2 = u
-    v0, v1, v2 = v
-    p0 = u0 * r00 + u1 * r10 + u2 * r20
-    p1 = u0 * r01 + u1 * r11 + u2 * r21
-    p2 = u0 * r02 + u1 * r12 + u2 * r22
-    p3 = u0 * r03 + u1 * r13 + u2 * r23
-    q0 = v0 * r00 + v1 * r10 + v2 * r20
-    q1 = v0 * r01 + v1 * r11 + v2 * r21
-    q2 = v0 * r02 + v1 * r12 + v2 * r22
-    q3 = v0 * r03 + v1 * r13 + v2 * r23
-    pp = p1 * p1 + p2 * p2 + p3 * p3
-    qq = q1 * q1 + q2 * q2 + q3 * q3
-    pq = p1 * q1 + p2 * q2 + p3 * q3
-    p00 = p0 * p0
-    q00 = q0 * q0
-    euclid = p00 + pp + q00 + qq
-    # np.hypot on floats too: math.hypot rounds differently on some pairs, and
-    # a refined frame must give the bits its grid node gives.
-    lorentz = np.hypot(p00 - pp - q00 + qq, 2.0 * (p0 * q0 - pq))
-    half = 0.5 * (euclid + lorentz)
-    # Both square roots are correctly rounded, so they agree bit for bit.
-    return np.sqrt(half) if isinstance(half, np.ndarray) else math.sqrt(half)
+    return _norm(*_terms(_leg(r, u), _leg(r, v)), np.hypot)
+
+
+def _grid_angles(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
+    # Doubled polar angles and azimuths of the hemisphere search grid.
+    polar = 2.0 * np.linspace(0.0, math.pi / 4.0, n_theta)
+    return polar, np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
 
 
 @functools.lru_cache(maxsize=4)
@@ -162,8 +188,7 @@ def _grid_frames(n_theta: int, n_phi: int) -> tuple[tuple, tuple, tuple, float]:
     bits it would in a full array.  The step is a Python float, which keeps
     the refinement's arithmetic on Python floats.
     """
-    polar = 2.0 * np.linspace(0.0, math.pi / 4.0, n_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    polar, phis = _grid_angles(n_theta, n_phi)
     pg, ph = np.meshgrid(polar, phis, indexing="ij")
     sp, cp, sph, cph = np.sin(pg), np.cos(pg), np.sin(ph), np.cos(ph)
     n = (sp * cph, sp * sph, cp[:, :1])
@@ -172,6 +197,118 @@ def _grid_frames(n_theta: int, n_phi: int) -> tuple[tuple, tuple, tuple, float]:
     for arr in (*n, *u, *v):
         arr.setflags(write=False)
     return n, u, v, float(max(polar[1] - polar[0], phis[1] - phis[0]))
+
+
+@functools.lru_cache(maxsize=4)
+def _grid_features(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Polar features Fp, (n_theta, 6), and azimuth features Fa, (6, n_phi), of the grid.
+
+    With P the doubled polar angle and phi the azimuth, the columns of Fp are
+    cos^2 P, cos P sin P, sin^2 P, cos P, sin P and 1, and the rows of Fa are
+    cos^2 phi, cos phi sin phi, sin^2 phi, cos phi, sin phi and 1.
+    """
+    polar, phis = _grid_angles(n_theta, n_phi)
+    cp, sp, c, s = np.cos(polar), np.sin(polar), np.cos(phis), np.sin(phis)
+    fp = np.stack([cp * cp, cp * sp, sp * sp, cp, sp, np.ones(n_theta)], axis=1)
+    fa = np.stack([c * c, c * s, s * s, c, s, np.ones(n_phi)])
+    fp.setflags(write=False)
+    fa.setflags(write=False)
+    return fp, fa
+
+
+def _screen(r: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """f^2 = (E + sqrt(X^2 + Y^2)) / 2 on every node of the grid, by matrix products.
+
+    With A = R R^T and B = R eta R^T (eta = diag(1, -1, -1, -1)),
+    E = u^T A u + v^T A v, X = u^T B u - v^T B v and Y = 2 u^T B v.  On the
+    grid u = (cos P cos phi, cos P sin phi, -sin P) and
+    v = (-sin phi, cos phi, 0), so each of E/2, X/2 and Y/2 is Fp W Fa for
+    the features of :func:`_grid_features` and a 6x6 weight matrix W read off
+    A or B.  The result ranks nodes and never becomes a returned value.
+    """
+    a, t = r[:, :1], r[:, 1:]
+    aa, tt = a @ a.T, t @ t.T
+    (a00, a01, a02), (_, a11, a12), (_, _, a22) = (aa + tt).tolist()
+    (b00, b01, b02), (_, b11, b12), (_, _, b22) = (aa - tt).tolist()
+    z = (0.0,) * 6
+    w = np.array(
+        [
+            # u^T M u, spread over the first three polar features, plus or
+            # minus v^T M v on the constant one: E with M = A, X with M = B.
+            [
+                (a00, 2.0 * a01, a11, 0.0, 0.0, 0.0),
+                (0.0, 0.0, 0.0, -2.0 * a02, -2.0 * a12, 0.0),
+                (0.0, 0.0, 0.0, 0.0, 0.0, a22),
+                z,
+                z,
+                (a11, -2.0 * a01, a00, 0.0, 0.0, 0.0),
+            ],
+            [
+                (b00, 2.0 * b01, b11, 0.0, 0.0, 0.0),
+                (0.0, 0.0, 0.0, -2.0 * b02, -2.0 * b12, 0.0),
+                (0.0, 0.0, 0.0, 0.0, 0.0, b22),
+                z,
+                z,
+                (-b11, 2.0 * b01, -b00, 0.0, 0.0, 0.0),
+            ],
+            # Y / 2 = u^T B v, on cos P and sin P.
+            [z, z, z, (b01, b11 - b00, -b01, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, -b12, b02, 0.0), z],
+        ]
+    )
+    w[:2] *= 0.5
+    fp, fa = _grid_features(*shape)
+    half_e, half_x, half_y = fp @ w @ fa
+    # In place, on the product's fresh rows: this runs once per search.
+    half_x *= half_x
+    half_y *= half_y
+    half_x += half_y
+    half_e += np.sqrt(half_x, out=half_x)
+    return half_e
+
+
+def _screen_margin(r: np.ndarray) -> float:
+    # delta = 2^-30 |R|^2 + 2^-1000: nodes whose screen value lies within it of
+    # the screen's minimum are candidates; see _grid_minimum.
+    return 2.0**-30 * float(np.vdot(r, r)) + 2.0**-1000
+
+
+def _grid_minimum(r: np.ndarray, shape: tuple[int, int]) -> tuple[int, float]:
+    """(k, f): the first node in row-major order with the least kernel value, and that value.
+
+    :func:`_screen` ranks the nodes.  The rows from the first to the last
+    that hold a node whose screen value lies within the margin
+    delta = 2^-30 |R|^2 + 2^-1000 of the screen's minimum m go through
+    :func:`frame_norms`, and ``np.argmin`` over them decides.
+
+    Why no tie is lost: suppose |screen - kernel^2| <= eps on every node, and
+    let f be the least kernel value over the grid.  A node that ties f has
+    screen <= f^2 + eps, and the node where the screen is least has kernel
+    >= f, so m >= f^2 - eps.  Every node tying f thus has screen <= m + 2 eps
+    and lies in the rows evaluated once delta >= 2 eps.  The kernel works
+    elementwise, so those rows hold the full grid's values, in row-major
+    order: their first minimum is the grid's first minimum, bit for bit.
+
+    Why delta >= 2 eps on every valid state: with R_i the rows of R, every
+    entry of A and B is at most |R_i| |R_j| in size, so the entries of either
+    add up to at most (sum_i |R_i|)^2 <= 3 |R|^2, and the terms of each of
+    E/2, X/2 and Y/2 at a node add up in size to at most 3 |R|^2, since every
+    feature and frame component lies in [-1, 1].  Each is then accurate to
+    a few tens of unit roundoffs (2^-53) times 3 |R|^2, whatever order and
+    FMA use BLAS picks, and so is the kernel's own f^2; its float frame and
+    the features differ by a few roundoffs.  The square root adds nothing:
+    hypot is 1-Lipschitz, and X^2 + Y^2 sums non-negative terms.  That puts
+    eps near 2^-45 |R|^2, with 2^-1000 covering products that underflow.
+    The tests measure eps on every node of four grid shapes over mixed,
+    rotated-X, cq, cc, pure, Bell-diagonal, identity and near-identity states.
+    """
+    row_min = _screen(r, shape).min(axis=1)
+    # Written with > so that a NaN anywhere keeps every row, as the full grid would.
+    first, last = np.flatnonzero(~(row_min > row_min.min() + _screen_margin(r)))[[0, -1]]
+    rows = slice(first, last + 1)
+    _, (u0, u1, u2), v, _ = _grid_frames(*shape)
+    vals = frame_norms(r, (u0[rows], u1[rows], u2[rows]), v)
+    j = int(np.argmin(vals))
+    return int(first) * shape[1] + j, float(vals.flat[j])
 
 
 def _grid_node(frame, i: int, j: int) -> tuple[float, float, float]:
@@ -192,7 +329,8 @@ def _compass_frames(n, u, v, step: float) -> list[tuple]:
     ``n``, ``u`` and ``v`` are float triples; so is every vector returned, as
     four (n', u', v') candidates.  The step rotates the frame with the axis,
     n' = c (n +- s u), u' = c (u -+ s n), v' = v with c = 1 / sqrt(1 + s^2),
-    so no frame is rebuilt from scratch.
+    so no frame is rebuilt from scratch.  The vector a move keeps is the
+    object passed in, which lets the refinement reuse its leg.
     """
     c = 1.0 / math.sqrt(1.0 + step * step)
     return [
@@ -201,6 +339,59 @@ def _compass_frames(n, u, v, step: float) -> list[tuple]:
         (_turn(n, v, step, c), u, _turn(v, n, -step, c)),
         (_turn(n, v, -step, c), u, _turn(v, n, step, c)),
     ]
+
+
+# A refine candidate whose math.hypot rank is not below best (1 + _RANK_REL) + _RANK_ABS
+# cannot beat best under np.hypot; see _d1_search.
+_RANK_REL = 2.0**-40
+_RANK_ABS = 2.0**-500
+
+
+def _d1_search(r: np.ndarray, cfg: SearchConfig | None = None, stop_below: float | None = None) -> float:
+    """:func:`d1_oracle` from R = ``bloch_matrix(rho)``.
+
+    The grid minimum comes from :func:`_grid_minimum`.  Each refine candidate
+    is ranked with ``math.hypot`` in place of ``np.hypot``; only a candidate
+    ranked below best (1 + 2^-40) + 2^-500 is evaluated by the kernel and
+    compared with ``<``.  Both hypot functions are within 1 ulp of the exact
+    value (CPython documents this for ``math.hypot`` since 3.10; glibc lists
+    1 ulp for ``hypot``), and the two evaluations share E, X and Y.  So the
+    two hypots differ by at most 2^-51 relative (or 2^-1073 when subnormal);
+    adding the non-negative E, halving and the correctly rounded square root
+    keep the two norms within 2^-49 relative of each other, and where the
+    half-sum is subnormal, within sqrt(8 * 2^-1074) < 2^-535.  A candidate
+    whose kernel value is below best therefore ranks below best (1 + 2^-49)
+    + 2^-535, under the threshold even after it is rounded: no candidate
+    that could move the search is skipped, and every value returned or
+    compared comes from the kernel.  A best value of exactly 0 ends the
+    refinement: no norm is below 0.
+    """
+    cfg = DEFAULT_SEARCH if cfg is None else cfg
+    k, best = _grid_minimum(r, cfg.coarse_grid)
+    grid_n, grid_u, grid_v, step = _grid_frames(*cfg.coarse_grid)
+    n, u, v = (_grid_node(frame, *divmod(k, cfg.coarse_grid[1])) for frame in (grid_n, grid_u, grid_v))
+    rows = r.tolist()
+    p, q = _leg(rows, u), _leg(rows, v)
+    # No norm is below 0, so a minimum of 0 is final.
+    stop = 0.0 if stop_below is None else max(stop_below, 0.0)
+    for _ in range(cfg.refine_iters):
+        if best <= stop:
+            return best
+        moved = None
+        for cand in _compass_frames(n, u, v, step):
+            cand_p = p if cand[1] is u else _leg(rows, cand[1])
+            cand_q = q if cand[2] is v else _leg(rows, cand[2])
+            terms = _terms(cand_p, cand_q)
+            if _norm(*terms, math.hypot) < best + best * _RANK_REL + _RANK_ABS:
+                val = _norm(*terms, np.hypot)
+                # Strict < keeps the first of equally good candidates, in +u, -u, +v, -v order.
+                if val < best:
+                    best, moved = val, (cand, cand_p, cand_q)
+        if moved is None:
+            step *= _REFINE_SHRINK
+        else:
+            (n, u, v), p, q = moved
+    return best
 
 
 def d1_oracle(rho: DensityMatrix, cfg: SearchConfig | None = None, *, stop_below: float | None = None) -> float:
@@ -214,27 +405,7 @@ def d1_oracle(rho: DensityMatrix, cfg: SearchConfig | None = None, *, stop_below
     the result is then only an upper bound, which is all the callers using it
     need.
     """
-    cfg = DEFAULT_SEARCH if cfg is None else cfg
-    r = bloch_matrix(rho).tolist()
-    grid_n, grid_u, grid_v, step = _grid_frames(*cfg.coarse_grid)
-    vals = frame_norms(r, grid_u, grid_v)
-    k = int(np.argmin(vals))  # the first minimum in row-major node order
-    best = float(vals.flat[k])
-    n, u, v = (_grid_node(frame, *divmod(k, vals.shape[1])) for frame in (grid_n, grid_u, grid_v))
-    for _ in range(cfg.refine_iters):
-        if stop_below is not None and best <= stop_below:
-            return best
-        # Strict < keeps the first of equally good candidates, in +u, -u, +v, -v order.
-        moved = None
-        for cand in _compass_frames(n, u, v, step):
-            val = frame_norms(r, cand[1], cand[2])
-            if val < best:
-                best, moved = val, cand
-        if moved is None:
-            step *= _REFINE_SHRINK
-        else:
-            n, u, v = moved
-    return best
+    return _d1_search(bloch_matrix(rho), cfg, stop_below)
 
 
 def _covariance_by_traces(rho: DensityMatrix) -> np.ndarray:

@@ -11,6 +11,7 @@ emitted with ``repr`` so every value round-trips bit-exactly through JSON.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -76,12 +77,15 @@ def _read(name: str, value, shape: tuple[int, ...]):
             if _real_type(type(value)):
                 return float(value)
         else:
-            arr = np.array(value, dtype=object)
-            # One check per element type, not per element.
-            if arr.shape == shape and all(map(_real_type, set(map(type, arr.flat)))):
-                return arr.astype(float)
-    except OverflowError:  # an integer beyond the float range
-        pass
+            # np.array parses numeric strings and takes bools, so the
+            # elements' types are checked too: once per type, not per element.
+            arr = np.array(value, dtype=float)
+            if arr.shape == shape:
+                elements = value if len(shape) == 1 else itertools.chain.from_iterable(value)
+                if all(map(_real_type, set(map(type, elements)))):
+                    return arr
+    except (TypeError, ValueError, OverflowError):
+        pass  # not a nested sequence of numbers, or an integer beyond the float range
     what = "a real number" if not shape else f"an array of real numbers of shape {shape}"
     raise RecordError(f"parameter {name!r} must be {what}, got {value!r}")
 

@@ -76,6 +76,11 @@ def projector_pair(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
     return p1, p2
 
 
+def _kron2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # np.kron of two 2x2 matrices, the same products without np.kron's overhead.
+    return (x[:, None, :, None] * y[None, :, None, :]).reshape(4, 4)
+
+
 def qubit_state(a) -> np.ndarray:
     """Single-qubit state (I + a . sigma) / 2 for a Bloch vector a with |a| <= 1."""
     a = _as_bloch(a)
@@ -232,9 +237,7 @@ def cq_state(p1: float, theta: float, phi: float, a1, a2) -> DensityMatrix:
     if not 0.0 <= p1 <= 1.0:
         raise StateError(f"probability p1 must lie in [0, 1], got {p1}")
     proj1, proj2 = projector_pair(theta, phi)
-    m = p1 * np.kron(proj1, qubit_state(a1)) + (1.0 - p1) * np.kron(
-        proj2, qubit_state(a2)
-    )
+    m = p1 * _kron2(proj1, qubit_state(a1)) + (1.0 - p1) * _kron2(proj2, qubit_state(a2))
     return DensityMatrix(m)
 
 
@@ -259,7 +262,7 @@ def cc_state(
     m = np.zeros((4, 4), dtype=complex)
     for j in range(2):
         for k in range(2):
-            m += table[j][k] * np.kron(pa[j], pb[k])
+            m += table[j][k] * _kron2(pa[j], pb[k])
     return DensityMatrix(m)
 
 
