@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, StateError
-from .oracles import _d1_search, bloch_matrix, frame_norms
+from .oracles import _d1_search, frame_norms
 from .states import (
     DensityMatrix,
     XStateParams,
@@ -144,18 +144,13 @@ def d1_x_state(params: XStateParams) -> tuple[float, str]:
     return math.sqrt((s1 * w1 + small * w2) / (w1 + w2)), "closed_form"
 
 
-def _d1_eigen_axes(rho: DensityMatrix) -> float:
-    """Smallest disturbance over the three eigen-axes of M = R R^T, R = [a | T].
+def _eigen_axes_min(r: np.ndarray) -> float:
+    """Smallest disturbance over the three eigen-axes of M = R R^T, R = ``bloch_matrix(rho)``.
 
     Each eigenvector's frame is the other two.  Zero discord means rank R <= 1
     (Dakic, Vedral & Brukner, PRL 105, 190502, 2010), and then the top
     eigen-axis gives 0 to rounding, which a grid search can miss.
     """
-    return _eigen_axes_min(bloch_matrix(rho))
-
-
-def _eigen_axes_min(r: np.ndarray) -> float:
-    # _d1_eigen_axes from R = bloch_matrix(rho).
     _, e = np.linalg.eigh(r @ r.T)
     rows, (e0, e1, e2) = r.tolist(), e.T.tolist()
     return min(frame_norms(rows, e1, e2), frame_norms(rows, e0, e2), frame_norms(rows, e0, e1))

@@ -8,26 +8,31 @@ bit-for-bit for a fixed :class:`SearchConfig`.
 
 Every disturbance value the d1 search returns or compares with ``<`` comes
 from :func:`frame_norms`, a closed expression in R = [a | T] and an
-orthonormal frame (u, v) normal to the axis.  A frame is passed as its three
+orthonormal frame (u, v) normal to the axis, or from the same expressions
+written out term by term in the same order.  A frame is passed as its three
 components.  For the grid they are arrays that broadcast over the
 (n_theta, n_phi) nodes, with the terms that depend on one angle only stored
-once per row or column; for the refinement they are plain floats, one compass
-candidate per call, with R's entries read as floats once per search.  Both go
-through the same kernel and the same rounding.  :func:`disturbance_norms`
+once per row or column; for one node or one refine candidate they are plain
+floats, with R's entries read as floats once per search.  Both round alike,
+so a node's float frame gives the node's bits.  :func:`disturbance_norms`
 evaluates the same norm from the definition, by eigenvalues of rho - P(rho);
 it is the reference the kernel is tested against.
 
 The search ranks cheaply and decides with the kernel.  On the grid,
 :func:`_screen` evaluates the squared norm at every node as three products of
 polar features, a 6x6 weight matrix read off R R^T or R eta R^T, and azimuth
-features.  Only the rows with a node within a proven margin of the screen's
-minimum go through the kernel, and ``np.argmin`` over them picks the node
-(:func:`_grid_minimum`).  In the refinement each candidate is ranked with
-``math.hypot``, and only one whose rank lies within a proven relative margin
-of the best value is evaluated with ``np.hypot`` and compared
-(:func:`_d1_search`).  BLAS and ``math.hypot`` thus choose which candidates
-the kernel sees but never set a returned value, so the search returns the
-bits a kernel evaluation of every node and every candidate would.
+features.  The nodes within a proven margin of the screen's minimum are the
+candidates.  A few of them go through the kernel one float frame at a time
+and the first strict minimum picks the node; more, as on a tied pole row or
+an identity-like state, send the rows that hold them through the kernel and
+``np.argmin`` picks it (:func:`_grid_minimum`).  The refinement is a compass
+search with R, the frame and its legs held in local floats; each candidate
+is ranked with ``math.hypot``, only one whose rank lies within a proven
+relative margin of the best value is evaluated with ``np.hypot`` and
+compared, and only the move taken turns the axis (:func:`_d1_search`).
+BLAS and ``math.hypot`` thus choose which candidates the kernel sees but
+never set a returned value, so the search returns the bits a kernel
+evaluation of every node and every candidate would.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from .states import (
     DensityMatrix,
     ProbTable2x2,
     pauli,
-    projector_pair,
 )
 
 
@@ -72,25 +76,19 @@ DEFAULT_SEARCH = SearchConfig()
 # Factor applied to the compass step after a refine step that finds no better axis.
 _REFINE_SHRINK = 0.5
 
-
-def measurement_map(rho: DensityMatrix, theta: float, phi: float) -> DensityMatrix:
-    """Dephase subsystem A in the projector basis at (theta, phi).
-
-    Returns sum_k (P_k (x) I) rho (P_k (x) I); applying the map twice with the
-    same angles changes nothing.
-    """
-    p1, p2 = projector_pair(theta, phi)
-    k1 = np.kron(p1, _EYE2)
-    k2 = np.kron(p2, _EYE2)
-    return DensityMatrix(k1 @ rho.mat @ k1 + k2 @ rho.mat @ k2)
+# At most this many candidate grid nodes are decided one float frame at a time;
+# more go through the kernel by rows (see _grid_minimum).  A float frame costs
+# about 6.3 us and one 128-node row about 55 us (CPython 3.11, numpy 2.4, one
+# core of a 2-core x86-64 Xeon), so the two cross between 8 and 9 nodes.
+_NODE_LIMIT = 8
 
 
 def disturbance_norms(rho, thetas, phis) -> np.ndarray:
     """Trace norm of rho - P(rho) for a batch of measurement angles.
 
     ``thetas`` and ``phis`` are paired 1-d arrays; row k of the result is the
-    sum of the absolute eigenvalues of
-    ``rho - measurement_map(rho, thetas[k], phis[k])``.
+    sum of the absolute eigenvalues of rho - P(rho), with P the dephasing of
+    subsystem A in the projector basis at ``(thetas[k], phis[k])``.
     """
     mat = _as_mat(rho)
     t = np.atleast_1d(np.asarray(thetas, dtype=float))
@@ -149,7 +147,7 @@ def frame_norms(r, u, v):
     """Trace norms of rho - P_n(rho), from R = ``bloch_matrix(rho)``.
 
     ``r`` is the 3x4 matrix R, as an array or as its rows of Python floats
-    (``R.tolist()``, which :func:`d1_oracle` reads once per search).
+    (``R.tolist()``, as :func:`_grid_minimum` passes it for single nodes).
     ``u = (u0, u1, u2)`` and ``v = (v0, v1, v2)`` are the components of an
     orthonormal frame of the plane normal to the measurement axis n.  Each
     component is either an array, giving one norm per frame (components
@@ -160,11 +158,11 @@ def frame_norms(r, u, v):
     Y = 2<p,q>, a sum of non-negative terms with no cancellation (Ciccarello,
     Tufarelli & Giovannetti, NJP 16, 013038, 2014).  It is computed in two
     legs, p with its squares from u and q with its squares from v, and their
-    combination; a refine move along u keeps v's leg and one along v keeps
-    u's.  Every sum is written out term by term, left to right, so arrays and
-    floats round alike and nothing depends on BLAS.  ``np.hypot`` serves
-    floats too: ``math.hypot`` rounds differently on some pairs, and a refined
-    frame must give the bits its grid node gives.
+    combination; :func:`_d1_search` writes the same expressions out inline
+    for its refine candidates.  Every sum is written out term by term, left
+    to right, so arrays and floats round alike and nothing depends on BLAS.
+    ``np.hypot`` serves floats too: ``math.hypot`` rounds differently on some
+    pairs, and a refined frame must give the bits its grid node gives.
     """
     return _norm(*_terms(_leg(r, u), _leg(r, v)), np.hypot)
 
@@ -275,18 +273,25 @@ def _screen_margin(r: np.ndarray) -> float:
 def _grid_minimum(r: np.ndarray, shape: tuple[int, int]) -> tuple[int, float]:
     """(k, f): the first node in row-major order with the least kernel value, and that value.
 
-    :func:`_screen` ranks the nodes.  The rows from the first to the last
-    that hold a node whose screen value lies within the margin
-    delta = 2^-30 |R|^2 + 2^-1000 of the screen's minimum m go through
-    :func:`frame_norms`, and ``np.argmin`` over them decides.
+    :func:`_screen` ranks the nodes.  The candidates are the nodes whose
+    screen value lies within the margin delta = 2^-30 |R|^2 + 2^-1000 of the
+    screen's minimum m.  Up to ``_NODE_LIMIT`` of them go through
+    :func:`frame_norms` one float frame at a time, in row-major order, and
+    the first strict minimum decides; a float frame gives its grid node's
+    bits.  More candidates, as on a pole row where all n_phi nodes share the
+    axis z, on identity-like states where every node ties, or on a NaN
+    anywhere in the screen, send the rows from the first to the last
+    candidate through the kernel at once, and ``np.argmin`` over them
+    decides.
 
     Why no tie is lost: suppose |screen - kernel^2| <= eps on every node, and
     let f be the least kernel value over the grid.  A node that ties f has
     screen <= f^2 + eps, and the node where the screen is least has kernel
     >= f, so m >= f^2 - eps.  Every node tying f thus has screen <= m + 2 eps
-    and lies in the rows evaluated once delta >= 2 eps.  The kernel works
-    elementwise, so those rows hold the full grid's values, in row-major
-    order: their first minimum is the grid's first minimum, bit for bit.
+    and is a candidate once delta >= 2 eps.  The kernel works elementwise,
+    so the candidates, or the rows that hold them, keep the full grid's
+    values in row-major order: their first minimum is the grid's first
+    minimum, bit for bit.
 
     Why delta >= 2 eps on every valid state: with R_i the rows of R, every
     entry of A and B is at most |R_i| |R_j| in size, so the entries of either
@@ -301,44 +306,38 @@ def _grid_minimum(r: np.ndarray, shape: tuple[int, int]) -> tuple[int, float]:
     The tests measure eps on every node of four grid shapes over mixed,
     rotated-X, cq, cc, pure, Bell-diagonal, identity and near-identity states.
     """
-    row_min = _screen(r, shape).min(axis=1)
-    # Written with > so that a NaN anywhere keeps every row, as the full grid would.
-    first, last = np.flatnonzero(~(row_min > row_min.min() + _screen_margin(r)))[[0, -1]]
+    screen = _screen(r, shape)
+    row_min = screen.min(axis=1)
+    threshold = row_min.min() + _screen_margin(r)
+    # Written with > so that a NaN anywhere keeps every row and node, as the full grid would.
+    kept = np.flatnonzero(~(row_min > threshold))
+    first, last = kept[[0, -1]]
+    _, grid_u, grid_v, _ = _grid_frames(*shape)
+    n_phi = shape[1]
+    # Each kept row holds a candidate, so more rows than _NODE_LIMIT need no node count.
+    if kept.size <= _NODE_LIMIT:
+        nodes = np.flatnonzero(~(screen[first : last + 1] > threshold)) + int(first) * n_phi
+        if nodes.size <= _NODE_LIMIT:
+            entries, found = r.tolist(), []
+            for k in nodes.tolist():
+                i, j = divmod(k, n_phi)
+                found.append((frame_norms(entries, _grid_node(grid_u, i, j), _grid_node(grid_v, i, j)), k))
+            # On equal values the lower node index wins: the first in row-major order.
+            best, k = min(found)
+            return k, best
+    # Freed before the kernel allocates its row-sized temporaries: held, it
+    # made a 64-row decide about 30% slower (measured on I/4).
+    del screen
     rows = slice(first, last + 1)
-    _, (u0, u1, u2), v, _ = _grid_frames(*shape)
-    vals = frame_norms(r, (u0[rows], u1[rows], u2[rows]), v)
+    u0, u1, u2 = grid_u
+    vals = frame_norms(r, (u0[rows], u1[rows], u2[rows]), grid_v)
     j = int(np.argmin(vals))
-    return int(first) * shape[1] + j, float(vals.flat[j])
+    return int(first) * n_phi + j, float(vals.flat[j])
 
 
 def _grid_node(frame, i: int, j: int) -> tuple[float, float, float]:
     # Node (i, j) of a broadcast grid frame; an axis of length 1 is read at 0.
     return tuple(float(c[i % c.shape[0], j % c.shape[1]]) for c in frame)
-
-
-def _turn(a, b, s: float, c: float) -> tuple[float, float, float]:
-    # c (a + s b) for float triples a and b.
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    return (c * (a0 + s * b0), c * (a1 + s * b1), c * (a2 + s * b2))
-
-
-def _compass_frames(n, u, v, step: float) -> list[tuple]:
-    """Axes and frames one compass step of length ``step`` away: +u, -u, +v, -v.
-
-    ``n``, ``u`` and ``v`` are float triples; so is every vector returned, as
-    four (n', u', v') candidates.  The step rotates the frame with the axis,
-    n' = c (n +- s u), u' = c (u -+ s n), v' = v with c = 1 / sqrt(1 + s^2),
-    so no frame is rebuilt from scratch.  The vector a move keeps is the
-    object passed in, which lets the refinement reuse its leg.
-    """
-    c = 1.0 / math.sqrt(1.0 + step * step)
-    return [
-        (_turn(n, u, step, c), _turn(u, n, -step, c), v),
-        (_turn(n, u, -step, c), _turn(u, n, step, c), v),
-        (_turn(n, v, step, c), u, _turn(v, n, -step, c)),
-        (_turn(n, v, -step, c), u, _turn(v, n, step, c)),
-    ]
 
 
 # A refine candidate whose math.hypot rank is not below best (1 + _RANK_REL) + _RANK_ABS
@@ -350,47 +349,97 @@ _RANK_ABS = 2.0**-500
 def _d1_search(r: np.ndarray, cfg: SearchConfig | None = None, stop_below: float | None = None) -> float:
     """:func:`d1_oracle` from R = ``bloch_matrix(rho)``.
 
-    The grid minimum comes from :func:`_grid_minimum`.  Each refine candidate
-    is ranked with ``math.hypot`` in place of ``np.hypot``; only a candidate
-    ranked below best (1 + 2^-40) + 2^-500 is evaluated by the kernel and
-    compared with ``<``.  Both hypot functions are within 1 ulp of the exact
-    value (CPython documents this for ``math.hypot`` since 3.10; glibc lists
-    1 ulp for ``hypot``), and the two evaluations share E, X and Y.  So the
-    two hypots differ by at most 2^-51 relative (or 2^-1073 when subnormal);
-    adding the non-negative E, halving and the correctly rounded square root
-    keep the two norms within 2^-49 relative of each other, and where the
-    half-sum is subnormal, within sqrt(8 * 2^-1074) < 2^-535.  A candidate
-    whose kernel value is below best therefore ranks below best (1 + 2^-49)
-    + 2^-535, under the threshold even after it is rounded: no candidate
-    that could move the search is skipped, and every value returned or
-    compared comes from the kernel.  A best value of exactly 0 ends the
-    refinement: no norm is below 0.
+    The grid minimum comes from :func:`_grid_minimum`.  The refinement is a
+    compass search (Kolda, Lewis & Torczon, SIAM Rev. 45, 385, 2003) on the
+    frame (n, u, v) of that node.  A step of length s tries +u, -u, +v and
+    -v in that order: the move along +-u turns u' = c (u -+ s n) and keeps v,
+    the move along +-v turns v' = c (v -+ s n) and keeps u, with
+    c = 1 / sqrt(1 + s^2), so no frame is rebuilt from scratch.  Only the
+    move taken also turns the axis, n' = c (n +- s u) or c (n +- s v), from
+    the frame the step started from.  R's entries are read into floats once,
+    and each candidate's leg and its E, X and Y are written out with
+    :func:`frame_norms`' expressions in its order, so a candidate gets the
+    bits ``frame_norms`` gives its frame.  A step that finds no better
+    candidate halves s.
+
+    Each candidate is ranked with ``math.hypot`` in place of ``np.hypot``;
+    only a candidate ranked below best (1 + 2^-40) + 2^-500, with best as
+    the step began (it only falls within a step, so this threshold skips
+    less, never more), is evaluated with ``np.hypot`` and compared with
+    ``<``.  Both hypot functions are within
+    1 ulp of the exact value (CPython documents this for ``math.hypot`` since
+    3.10; glibc lists 1 ulp for ``hypot``), and the two evaluations share E,
+    X and Y.  So the two hypots differ by at most 2^-51 relative (or 2^-1073
+    when subnormal); adding the non-negative E, halving and the correctly
+    rounded square root keep the two norms within 2^-49 relative of each
+    other, and where the half-sum is subnormal, within
+    sqrt(8 * 2^-1074) < 2^-535.  A candidate whose kernel value is below best
+    therefore ranks below best (1 + 2^-49) + 2^-535, under the threshold even
+    after it is rounded: no candidate that could move the search is skipped,
+    and every value returned or compared comes from the kernel.  A best value
+    of exactly 0 ends the refinement: no norm is below 0.
     """
     cfg = DEFAULT_SEARCH if cfg is None else cfg
     k, best = _grid_minimum(r, cfg.coarse_grid)
     grid_n, grid_u, grid_v, step = _grid_frames(*cfg.coarse_grid)
-    n, u, v = (_grid_node(frame, *divmod(k, cfg.coarse_grid[1])) for frame in (grid_n, grid_u, grid_v))
-    rows = r.tolist()
-    p, q = _leg(rows, u), _leg(rows, v)
+    node = divmod(k, cfg.coarse_grid[1])
+    (n0, n1, n2), (u0, u1, u2), (v0, v1, v2) = (_grid_node(f, *node) for f in (grid_n, grid_u, grid_v))
+    entries = r.tolist()
+    (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23) = entries
+    p0, p1, p2, p3, p00, pp = _leg(entries, (u0, u1, u2))
+    q0, q1, q2, q3, q00, qq = _leg(entries, (v0, v1, v2))
     # No norm is below 0, so a minimum of 0 is final.
     stop = 0.0 if stop_below is None else max(stop_below, 0.0)
+    c = 1.0 / math.sqrt(1.0 + step * step)
     for _ in range(cfg.refine_iters):
         if best <= stop:
             return best
+        rank_below = best + best * _RANK_REL + _RANK_ABS
         moved = None
-        for cand in _compass_frames(n, u, v, step):
-            cand_p = p if cand[1] is u else _leg(rows, cand[1])
-            cand_q = q if cand[2] is v else _leg(rows, cand[2])
-            terms = _terms(cand_p, cand_q)
-            if _norm(*terms, math.hypot) < best + best * _RANK_REL + _RANK_ABS:
-                val = _norm(*terms, np.hypot)
+        # u' = c (u + t n) with t = -s for +u, then t = s for -u; v's leg q is kept.
+        for t in (-step, step):
+            w0, w1, w2 = c * (u0 + t * n0), c * (u1 + t * n1), c * (u2 + t * n2)
+            x0 = w0 * r00 + w1 * r10 + w2 * r20
+            x1 = w0 * r01 + w1 * r11 + w2 * r21
+            x2 = w0 * r02 + w1 * r12 + w2 * r22
+            x3 = w0 * r03 + w1 * r13 + w2 * r23
+            x00, xx = x0 * x0, x1 * x1 + x2 * x2 + x3 * x3
+            e = x00 + xx + q00 + qq
+            x = x00 - xx - q00 + qq
+            y = 2.0 * (x0 * q0 - (x1 * q1 + x2 * q2 + x3 * q3))
+            if math.sqrt(0.5 * (e + math.hypot(x, y))) < rank_below:
+                val = math.sqrt(0.5 * (e + np.hypot(x, y)))
                 # Strict < keeps the first of equally good candidates, in +u, -u, +v, -v order.
                 if val < best:
-                    best, moved = val, (cand, cand_p, cand_q)
+                    best, moved = val, (True, t, w0, w1, w2, x0, x1, x2, x3, x00, xx)
+        # v' = c (v + t n) likewise; u's leg p is kept.
+        for t in (-step, step):
+            w0, w1, w2 = c * (v0 + t * n0), c * (v1 + t * n1), c * (v2 + t * n2)
+            x0 = w0 * r00 + w1 * r10 + w2 * r20
+            x1 = w0 * r01 + w1 * r11 + w2 * r21
+            x2 = w0 * r02 + w1 * r12 + w2 * r22
+            x3 = w0 * r03 + w1 * r13 + w2 * r23
+            x00, xx = x0 * x0, x1 * x1 + x2 * x2 + x3 * x3
+            e = p00 + pp + x00 + xx
+            x = p00 - pp - x00 + xx
+            y = 2.0 * (p0 * x0 - (p1 * x1 + p2 * x2 + p3 * x3))
+            if math.sqrt(0.5 * (e + math.hypot(x, y))) < rank_below:
+                val = math.sqrt(0.5 * (e + np.hypot(x, y)))
+                if val < best:
+                    best, moved = val, (False, t, w0, w1, w2, x0, x1, x2, x3, x00, xx)
         if moved is None:
             step *= _REFINE_SHRINK
+            c = 1.0 / math.sqrt(1.0 + step * step)
+            continue
+        along_u, t, w0, w1, w2, *leg = moved
+        # n' = c (n + s a) for the turned vector a, with s = -t, from this step's frame.
+        s = -t
+        if along_u:
+            n0, n1, n2 = c * (n0 + s * u0), c * (n1 + s * u1), c * (n2 + s * u2)
+            (u0, u1, u2), (p0, p1, p2, p3, p00, pp) = (w0, w1, w2), leg
         else:
-            (n, u, v), p, q = moved
+            n0, n1, n2 = c * (n0 + s * v0), c * (n1 + s * v1), c * (n2 + s * v2)
+            (v0, v1, v2), (q0, q1, q2, q3, q00, qq) = (w0, w1, w2), leg
     return best
 
 
@@ -512,11 +561,3 @@ def classical_cov(p: ProbTable2x2) -> float:
         + (p.p12 - p.p21) ** 2
         - (p.p11 - p.p22) ** 2
     )
-
-
-def classical_cov_from_moments(p: ProbTable2x2) -> float:
-    """Same covariance via <XY> - <X><Y>; must agree with :func:`classical_cov`."""
-    ex = p.p11 + p.p12 - p.p21 - p.p22
-    ey = p.p11 + p.p21 - p.p12 - p.p22
-    exy = p.p11 + p.p22 - p.p12 - p.p21
-    return exy - ex * ey

@@ -1,4 +1,4 @@
-"""The public API: its full list of names, and the part perfbench/ uses.
+"""The public API: its full list of names, the part perfbench/ uses, and no dead private code.
 
 perfbench imports names from ``qcorr`` and calls them with the shapes below;
 an API trim that breaks either makes every benchmark run fail.
@@ -15,6 +15,7 @@ import qcorr
 from qcorr.measures import X_PATTERN_TOL
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(qcorr.__file__).resolve().parent
 
 # Growing or trimming the public API means editing this list on purpose.
 PUBLIC_NAMES = [
@@ -112,3 +113,37 @@ def test_call_shapes():
     checks = qcorr.run_checks(prefix="rho_d.spot")
     assert [r.check_id for r in checks] == ["rho_d.spot_d1", "rho_d.spot_mmc"]
     assert all(r.passed for r in checks)
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, statement) for every module-level function, class or constant named _x."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, stmt
+
+
+def test_every_private_name_is_used_in_the_package():
+    # A private helper that only the tests call belongs in the tests.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    loads = [
+        (node.id if isinstance(node, ast.Name) else node.attr, stmt)
+        for tree in trees.values()
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    ]
+    unused = [
+        f"{module}.{name}"
+        for module, tree in sorted(trees.items())
+        for name, definition in _private_definitions(tree)
+        if not any(used == name and stmt is not definition for used, stmt in loads)
+    ]
+    assert unused == []

@@ -325,7 +325,7 @@ def _both(family, param, fixed):
     }
 
 
-IGNORED_PARAMETER_RECORDS = {
+RECORD_ERRORS = {
     "unknown pure parameter": _both("pure", "n", {"bogus": 1}),
     "misspelt cc angle": _both("cc", "theta_a", {**_CC, "theta_B": 1.0}),
     "swept parameter also fixed": {
@@ -365,13 +365,13 @@ IGNORED_PARAMETER_RECORDS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(IGNORED_PARAMETER_RECORDS))
+@pytest.mark.parametrize("case", sorted(RECORD_ERRORS))
 def test_ignored_parameter_exit_2_before_any_output(capsys, monkeypatch, case):
     def no_rows(rho):
         pytest.fail("a report was computed for a rejected record")
 
     monkeypatch.setattr(cli, "full_report", no_rows)
-    for command, record in IGNORED_PARAMETER_RECORDS[case].items():
+    for command, record in RECORD_ERRORS[case].items():
         code, out, err = run_cli(capsys, command, "--inline", json.dumps(record))
         assert (code, out) == (2, ""), command
         assert err.startswith("error: "), command

@@ -2,10 +2,10 @@
 
 The golden corpus holds search values only within ORACLE_TOL; this table holds
 the exact bits of the oracle on seeded non-X states, at the default search, at
-32x64/60 and at 32x64/60 with ``stop_below``, and of ``measures._d1_eigen_axes``,
-so a rewrite of the kernel, the grid or the refinement that changes any rounding
-fails here.  make_d1_oracle_bits.py next to
-the table wrote it.
+32x64/60 and at 32x64/60 with ``stop_below``, and of the eigen-axis minimum
+``full_report`` takes beside it (``measures._eigen_axes_min``), so a rewrite
+of the kernel, the grid or the refinement that changes any rounding fails
+here.  make_d1_oracle_bits.py next to the table wrote it.
 """
 
 import json
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from qcorr.measures import _d1_eigen_axes
+from oracle_reference import _d1_eigen_axes
 from qcorr.oracles import SearchConfig, d1_oracle
 from qcorr.stateio import state_from_record
 from qcorr.states import is_x_shaped

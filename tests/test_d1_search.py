@@ -12,12 +12,13 @@ import math
 import numpy as np
 import pytest
 
+from oracle_reference import _reference_d1
 from qcorr.errors import StateError
 from qcorr.oracles import (
+    _NODE_LIMIT,
     _RANK_ABS,
     _RANK_REL,
     SearchConfig,
-    _compass_frames,
     _grid_frames,
     _grid_minimum,
     _grid_node,
@@ -139,8 +140,9 @@ def test_grid_minimum_is_the_full_grid_argmin_bit_for_bit():
         "pure": 100, "bell_c1_c2": 100, "werner": 60, "identity": 1, "near_identity": 60,
     }
     tied = {"pole": 0, "all": 0}
-    for shape, share in [((64, 128), 1), ((32, 64), 4)]:
+    for shape, share in [((64, 128), 1), ((32, 64), 2)]:
         fewer = {kind: max(count // share, 1) for kind, count in counts.items()}
+        branch = {"nodes": 0, "rows": 0}
         for kind, rho in _states(223 + shape[0], fewer):
             r = bloch_matrix(rho)
             k, best, ties = _reference_grid(r, shape)
@@ -148,31 +150,13 @@ def test_grid_minimum_is_the_full_grid_argmin_bit_for_bit():
             assert (got_k, got_best.hex()) == (k, best.hex()), kind
             tied["pole"] += ties > 1 and k < shape[1]
             tied["all"] += ties == shape[0] * shape[1]
+            screen = _screen(r, shape)
+            candidates = np.count_nonzero(~(screen > screen.min() + _screen_margin(r)))
+            branch["nodes" if candidates <= _NODE_LIMIT else "rows"] += 1
+        # Both ways of deciding are held to the full grid on this shape.
+        assert min(branch.values()) >= 100, (shape, branch)
     # The table exercises the first-minimum rule on real ties.
     assert tied["pole"] >= 100 and tied["all"] >= 2, tied
-
-
-def _reference_d1(rho, cfg, stop_below=None):
-    # The search with every node and every refine candidate through frame_norms.
-    r = bloch_matrix(rho).tolist()
-    grid_n, grid_u, grid_v, step = _grid_frames(*cfg.coarse_grid)
-    vals = frame_norms(r, grid_u, grid_v)
-    k = int(np.argmin(vals))
-    best = float(vals.flat[k])
-    n, u, v = (_grid_node(f, *divmod(k, vals.shape[1])) for f in (grid_n, grid_u, grid_v))
-    for _ in range(cfg.refine_iters):
-        if stop_below is not None and best <= stop_below:
-            return best
-        moved = None
-        for cand in _compass_frames(n, u, v, step):
-            val = frame_norms(r, cand[1], cand[2])
-            if val < best:
-                best, moved = val, cand
-        if moved is None:
-            step *= 0.5
-        else:
-            n, u, v = moved
-    return best
 
 
 def test_d1_oracle_matches_the_all_kernel_refine_bit_for_bit():

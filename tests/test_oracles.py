@@ -3,19 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from oracle_reference import _compass_frames, classical_cov_from_moments, measurement_map
 from qcorr.measures import mmc
 from qcorr.oracles import (
     SearchConfig,
-    _compass_frames,
     _grid_frames,
     _grid_node,
     bloch_matrix,
     classical_cov,
-    classical_cov_from_moments,
     d1_oracle,
     disturbance_norms,
     frame_norms,
-    measurement_map,
     mmc_oracle,
 )
 from qcorr.states import (

@@ -35,68 +35,10 @@ from qcorr.verify import random_density_matrix
 
 
 class TestStateFromRecord:
-    def test_pure(self):
-        rho = state_from_record({"family": "pure", "params": {"n": 0.6}})
-        assert np.abs(rho.mat - pure_state(0.6).mat).max() == 0.0
-
-    def test_cq(self):
-        record = {
-            "family": "cq",
-            "params": {"p1": 0.3, "theta": 0.0, "phi": 0.0, "a1": [1, 0, 0], "a2": [0, 0, 1]},
-        }
-        rho = state_from_record(record)
-        assert rho.mat[0, 0].real == pytest.approx(0.3 * 0.5)
-
-    def test_cc_with_default_b_angles(self):
-        record = {
-            "family": "cc",
-            "params": {"p": [[0.4, 0.1], [0.2, 0.3]], "theta_a": 0.0, "phi_a": 0.0},
-        }
-        rho = state_from_record(record)
-        assert np.allclose(rho.mat, np.diag([0.4, 0.1, 0.2, 0.3]))
-
-    def test_x(self):
-        record = {
-            "family": "x",
-            "params": {
-                "rho11": 0.1,
-                "rho22": 0.1,
-                "rho33": 0.4,
-                "rho44": 0.4,
-                "rho14": 0.2,
-                "rho23": 0.2,
-            },
-        }
-        rho = state_from_record(record)
-        assert rho.mat[0, 3].real == pytest.approx(0.2)
-
-    def test_rho_d_and_rho_theta(self):
-        rho = state_from_record({"family": "rho_d", "params": {"w": 0.1, "s": 0.2}})
-        assert rho.mat[0, 0].real == pytest.approx(0.1)
-        rho = state_from_record({"family": "rho_theta", "params": {"theta": math.pi / 4}})
-        assert np.abs(rho.mat - rho_theta(math.pi / 4).mat).max() == 0.0
-
-    def test_bell_diagonal_both_forms(self):
-        by_vector = state_from_record(
-            {"family": "bell_diagonal", "params": {"c": [0.5, -0.3, 0.2]}}
-        )
-        by_scalars = state_from_record(
-            {"family": "bell_diagonal", "params": {"c1": 0.5, "c2": -0.3, "c3": 0.2}}
-        )
-        expected = bell_diagonal(0.5, -0.3, 0.2)
-        assert np.abs(by_vector.mat - expected.mat).max() == 0.0
-        assert np.abs(by_scalars.mat - expected.mat).max() == 0.0
-
     def test_vector_and_scalar_coefficients_together_rejected(self):
         params = {"c": [0.5, -0.3, 0.2], "c1": 0.5}
         with pytest.raises(RecordError, match="not both"):
             state_from_record({"family": "bell_diagonal", "params": params})
-
-    def test_raw_identity_quarter(self):
-        re = (np.eye(4) / 4).tolist()
-        im = np.zeros((4, 4)).tolist()
-        rho = state_from_record({"family": "raw", "params": {"re": re, "im": im}})
-        assert np.allclose(rho.mat, np.eye(4) / 4)
 
     def test_unknown_family(self):
         with pytest.raises(RecordError, match="family"):
@@ -124,9 +66,11 @@ class TestStateFromRecord:
 
 
 _X = {"rho11": 0.1, "rho22": 0.2, "rho33": 0.3, "rho44": 0.4, "rho14": 0.15, "rho23": 0.2}
+_X_EQUAL = {"rho11": 0.1, "rho22": 0.1, "rho33": 0.4, "rho44": 0.4, "rho14": 0.2, "rho23": 0.2}
 _CC = {"p": [[0.4, 0.1], [0.2, 0.3]], "theta_a": 0.3, "phi_a": 0.2}
 _CC_TABLE = ProbTable2x2(0.4, 0.1, 0.2, 0.3)
 _CQ = {"p1": 0.3, "theta": 0.4, "phi": 1.1, "a1": [1, 0, 0], "a2": [0, 0.6, 0.8]}
+_CQ_POLE = {"p1": 0.3, "theta": 0.0, "phi": 0.0, "a1": [1, 0, 0], "a2": [0, 0, 1]}
 _COMPLEX = cq_state(0.3, 0.4, 1.1, [1, 0, 0], [0, 0.6, 0.8]).mat
 # Each family record beside the direct constructor call it must reproduce.
 RECORD_BUILDS = {
@@ -138,9 +82,21 @@ RECORD_BUILDS = {
         {**_CC, "theta_b": 1.0, "phi_b": 2.5},
         lambda: cc_state(_CC_TABLE, 0.3, 0.2, 1.0, 2.5),
     ),
+    "cq at the pole": ("cq", _CQ_POLE, lambda: cq_state(0.3, 0.0, 0.0, [1, 0, 0], [0, 0, 1])),
+    "cc default b at the pole": (
+        "cc",
+        {**_CC, "theta_a": 0.0, "phi_a": 0.0},
+        lambda: cc_state(_CC_TABLE, 0.0, 0.0),
+    ),
     "x": ("x", _X, lambda: x_state(XStateParams(**_X))),
+    "x equal blocks": ("x", _X_EQUAL, lambda: x_state(XStateParams(**_X_EQUAL))),
     "rho_d": ("rho_d", {"w": 0.1, "s": 0.2}, lambda: rho_d(0.1, 0.2)),
     "rho_theta": ("rho_theta", {"theta": 0.7}, lambda: rho_theta(0.7)),
+    "rho_theta quarter pi": (
+        "rho_theta",
+        {"theta": math.pi / 4},
+        lambda: rho_theta(math.pi / 4),
+    ),
     "bell c": ("bell_diagonal", {"c": [0.5, -0.3, 0.2]}, lambda: bell_diagonal(0.5, -0.3, 0.2)),
     "bell c1 c2 c3": (
         "bell_diagonal",
@@ -151,6 +107,11 @@ RECORD_BUILDS = {
         "raw",
         {"re": _COMPLEX.real.tolist(), "im": _COMPLEX.imag.tolist()},
         lambda: DensityMatrix(_COMPLEX),
+    ),
+    "raw identity quarter": (
+        "raw",
+        {"re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist()},
+        lambda: DensityMatrix(np.eye(4) / 4),
     ),
 }
 
