@@ -4,9 +4,21 @@ mmc                  largest singular value t1 of the covariance matrix Q
 correlation_distance (|t1+t2+t3| + |t1+t2-t3| + |t1-t2+t3| + |-t1+t2+t3|) / 4
 negativity           trace norm of the partial transpose minus 1
 d1                   minimal trace-norm disturbance under one-sided projective
-                     measurement; one closed form on every X-shaped state,
-                     otherwise a grid-search minimization that also tries the
-                     eigen-axes of M = R R^T
+                     measurement; one closed form on every state that a local
+                     rotation makes X-shaped, otherwise a grid-search
+                     minimization that also tries the eigen-axes of M = R R^T
+
+d1 depends only on R = [a | T] (A's Bloch vector beside the correlation
+tensor) and does not change under local rotations on either side.  So the
+X-state closed form holds whenever a = 0 or a is an eigenvector of T T^T:
+then rotations on A and B bring a onto the z axis and T to a diagonal.  The
+cq and cc families and every other zero-discord state (rank R <= 1; Dakic,
+Vedral & Brukner, PRL 105, 190502, 2010), every pure state (by its Schmidt
+form), every Werner or Bell-diagonal state and every locally rotated X state
+qualify.  ``full_report`` takes the closed form on a state whose R lies
+within ``X_PATTERN_TOL`` |R| of such an R, so its d1 is then within
+sqrt(3) * 1e-12 of exact, and reports ``d1_method = "closed_form"``;
+"oracle" means the search.
 """
 
 from __future__ import annotations
@@ -116,32 +128,131 @@ def negativity(rho: DensityMatrix) -> float:
     return value if value > 0.0 else 0.0
 
 
+def _x_form_d1(x2: float, s1: float, s2: float, s3: float, r1: float) -> float:
+    """d1 of R = [a | T] in X form: a = (0, 0, x) and T = diag(t1, t2, t3).
+
+    Takes x2 = x^2 and s_i = t_i^2 with s1 >= s2; ``r1`` is |t1| as the caller
+    has it, returned when both weights vanish.  With big = max(s3, s2 + x2)
+    and small = min(s3, s1), d1^2 = (s1 w1 + small w2) / (w1 + w2) for the
+    weights w1 = big - small and w2 = s1 - s2 (Ciccarello, Tufarelli &
+    Giovannetti, NJP 16, 013038, 2014).  Both weights are non-negative, so
+    d1^2 is a convex combination of s1 and small and nothing cancels.  When
+    both vanish, s1 = small and d1 = |t1|; on Werner-type states
+    (x = 0, s1 = s2 = s3) that is the exact common value.
+    """
+    big = max(s3, s2 + x2)
+    small = min(s3, s1)
+    w1 = big - small
+    w2 = s1 - s2
+    if w1 + w2 == 0.0:
+        return r1
+    return math.sqrt((s1 * w1 + small * w2) / (w1 + w2))
+
+
 def d1_x_state(params: XStateParams) -> tuple[float, str]:
     """Trace-norm discord of an X-shaped state, with the method that produced it.
 
-    In terms of x = 2(rho11 + rho22) - 1 and
-    alpha = (2(rho23 + rho14), 2(rho23 - rho14), 1 - 2(rho22 + rho33)), with
-    s_i = alpha_i^2, big = max(s3, s2 + x^2) and small = min(s3, s1),
-    d1^2 = (s1 w1 + small w2) / (w1 + w2) for the weights w1 = big - small and
-    w2 = s1 - s2 (Ciccarello, Tufarelli & Giovannetti, NJP 16, 013038, 2014).
-    Both weights are non-negative (rho14, rho23 >= 0 gives |alpha1| >= |alpha2|),
-    so d1^2 is a convex combination of s1 and small and nothing cancels.  When
-    both weights vanish, s1 = small and d1 = |alpha1|; on Werner-type states
-    (x = 0, |alpha1| = |alpha2| = |alpha3|) that is the exact common value.
-    The method always reads "closed_form".
+    The state's X form has x = 2(rho11 + rho22) - 1 and
+    t = (2(rho23 + rho14), 2(rho23 - rho14), 1 - 2(rho22 + rho33)), and
+    rho14, rho23 >= 0 gives |t1| >= |t2|; d1 is :func:`_x_form_d1` of
+    x^2 and s_i = t_i^2.  The method always reads "closed_form".
     """
     x = 2.0 * (params.rho11 + params.rho22) - 1.0
     a1 = 2.0 * (params.rho23 + params.rho14)
     a2 = 2.0 * (params.rho23 - params.rho14)
     a3 = 1.0 - 2.0 * (params.rho22 + params.rho33)
-    s1, s2, s3 = a1 * a1, a2 * a2, a3 * a3
-    big = max(s3, s2 + x * x)
-    small = min(s3, s1)
-    w1 = big - small
-    w2 = s1 - s2
-    if w1 + w2 == 0.0:
-        return abs(a1), "closed_form"
-    return math.sqrt((s1 * w1 + small * w2) / (w1 + w2)), "closed_form"
+    return _x_form_d1(x * x, a1 * a1, a2 * a2, a3 * a3, abs(a1)), "closed_form"
+
+
+def _dot(x, y) -> float:
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def _frame_rows(t, h):
+    """e, f and the rows (T^T e, T^T f, T^T h) of T along an orthonormal frame (e, f, h) of unit h.
+
+    The frame is Duff et al.'s (JCGT 6(1), 2017), with no division near zero.
+    """
+    h0, h1, h2 = h
+    sign = math.copysign(1.0, h2)
+    k = -1.0 / (sign + h2)
+    m = h0 * h1 * k
+    e = (1.0 + sign * h0 * h0 * k, sign * m, -sign * h0)
+    f = (m, sign + h1 * h1 * k, -h1)
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = t
+    return e, f, [
+        (w0 * t00 + w1 * t10 + w2 * t20, w0 * t01 + w1 * t11 + w2 * t21, w0 * t02 + w1 * t12 + w2 * t22)
+        for w0, w1, w2 in (e, f, h)
+    ]
+
+
+def _local_x_d1(r: np.ndarray) -> float | None:
+    """d1 of R = [a | T] by the X-state closed form, or None if R is not X-shaped up to rotations.
+
+    Rotations on A and B bring R to X form, a = (0, 0, x) and T diagonal,
+    exactly when a = 0 or a is an eigenvector of T T^T; d1 does not change
+    under them.  With |a| <= tol = ``X_PATTERN_TOL``, d1 is the middle
+    singular value of T: the closed form at x = 0 picks the middle s_i.
+    Otherwise, for a unit axis h and a frame (e, f) normal to it, the rows of
+    T along the frame are p = T^T e, q = T^T f and u = T^T h.  The closed form
+    is evaluated on a nearby R' that is exactly in X form up to rotations:
+    a' = |a| h, and either p and q stripped of their components along u
+    (moving T by sqrt((p.u)^2 + (q.u)^2) / |u|) or u set to zero (moving T by
+    |u|).  Then x^2 = |a|^2, s3 = |u|^2 (or 0), and s1 >= s2 are the
+    eigenvalues of the Gram matrix of p and q, with s2 = |p x q|^2 / s1 so
+    that a rank-one T gives s2 = 0 to rounding.  h is a / |a|, and if that
+    misses, one shift-invert step from it toward the nearest eigenvector of
+    T T^T, which serves states whose tiny a carries rounding in its
+    direction.  R' is used only when |R - R'| <= tol |R|.  d1 is 1-Lipschitz
+    in R (the trace norm of a 4x4 operator is at most twice its
+    Hilbert-Schmidt norm, which here is |R_res| / 2), so the result is within
+    tol |R| <= sqrt(3) tol of the exact d1, beside rounding; the a = 0 branch
+    is within |a| <= tol.  Any other R returns None.
+    """
+    rows = r.tolist()
+    a = [row[0] for row in rows]
+    t = [row[1:] for row in rows]
+    x2 = _dot(a, a)
+    if x2 <= X_PATTERN_TOL * X_PATTERN_TOL:
+        return float(np.linalg.svd(r[:, 1:], compute_uv=False)[1])
+    norm = math.sqrt(x2)
+    unit = [v / norm for v in a]
+    budget = X_PATTERN_TOL * math.sqrt(x2 + _dot(t[0], t[0]) + _dot(t[1], t[1]) + _dot(t[2], t[2]))
+    h, moved = unit, 0.0
+    for first in (True, False):
+        e, f, (p, q, u) = _frame_rows(t, h)
+        s3, pu, qu = _dot(u, u), _dot(p, u), _dot(q, u)
+        left = max(budget - moved, 0.0)
+        if pu * pu + qu * qu <= left * left * s3:
+            if s3 > 0.0:
+                p = [x - (pu / s3) * y for x, y in zip(p, u)]
+                q = [x - (qu / s3) * y for x, y in zip(q, u)]
+            break
+        if s3 <= left * left:
+            s3 = 0.0
+            break
+        if not first:
+            return None
+        # Toward the eigenvector of T T^T nearest h: (s3 I - G) c = (p.u, q.u)
+        # in the frame (e, f), G the Gram matrix of p and q.  Moving a costs at
+        # most |a| |c|.
+        pp, qq, pq = _dot(p, p), _dot(q, q), _dot(p, q)
+        det = (s3 - pp) * (s3 - qq) - pq * pq
+        if det == 0.0:
+            return None
+        c0 = ((s3 - qq) * pu + pq * qu) / det
+        c1 = (pq * pu + (s3 - pp) * qu) / det
+        if norm * math.hypot(c0, c1) > budget:
+            return None
+        v = [x + c0 * y + c1 * z for x, y, z in zip(h, e, f)]
+        length = math.sqrt(_dot(v, v))
+        h = [x / length for x in v]
+        moved = norm * math.dist(h, unit)
+    pp, qq, pq = _dot(p, p), _dot(q, q), _dot(p, q)
+    c0, c1, c2 = p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0]
+    s1 = 0.5 * (pp + qq) + math.hypot(0.5 * (pp - qq), pq)
+    s2 = min(s1, (c0 * c0 + c1 * c1 + c2 * c2) / s1) if s1 > 0.0 else 0.0
+    return _x_form_d1(x2, s1, s2, s3, math.sqrt(s1))
 
 
 def _eigen_axes_min(r: np.ndarray) -> float:
@@ -159,10 +270,16 @@ def _eigen_axes_min(r: np.ndarray) -> float:
 def full_report(rho: DensityMatrix) -> MeasureReport:
     """Compute all four measures for one state.
 
-    d1 takes the closed-form route whenever the matrix has the X sparsity
-    pattern (off-pattern entries below 1e-12); anything borderline goes to the
-    default ``d1_oracle`` search, which also tries the eigen-axes of M.  A
-    finer search of one state is ``d1_oracle(rho, SearchConfig(...))``.
+    d1 takes the X-state closed form whenever the matrix has the X sparsity
+    pattern (off-pattern entries below ``X_PATTERN_TOL`` = 1e-12).  Otherwise
+    it takes the same closed form when local rotations make the state
+    X-shaped, that is when a = 0 or a is an eigenvector of T T^T, up to a
+    move of R by at most ``X_PATTERN_TOL`` |R|, which bounds the error of d1
+    by sqrt(3) * 1e-12 (:func:`_local_x_d1`).  Both report
+    ``d1_method = "closed_form"``.  Every other state goes to the default
+    ``d1_oracle`` search, which also tries the eigen-axes of M, and reports
+    "oracle".  A finer search of one state is
+    ``d1_oracle(rho, SearchConfig(...))``.
     """
     # One matrix of Pauli coefficients gives Q, a, b and R = C[1:].
     c = _pauli_coefficients(rho)
@@ -172,7 +289,9 @@ def full_report(rho: DensityMatrix) -> MeasureReport:
         d1, method = d1_x_state(XStateParams.from_density_matrix(rho))
     else:
         r = c[1:]
-        d1, method = min(_d1_search(r), _eigen_axes_min(r)), "oracle"
+        d1, method = _local_x_d1(r), "closed_form"
+        if d1 is None:
+            d1, method = min(_d1_search(r), _eigen_axes_min(r)), "oracle"
     return MeasureReport(
         mmc=float(t[0]),
         correlation_distance=_distance_from_singular_values(t),

@@ -105,6 +105,19 @@ def random_bloch_vector(rng: np.random.Generator) -> np.ndarray:
     return v / norm * rng.random() ** (1.0 / 3.0)
 
 
+def random_local_unitary(rng: np.random.Generator) -> np.ndarray:
+    """Haar-random 2x2 unitary: QR of a complex Gaussian matrix, R's diagonal phases divided out."""
+    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def locally_rotated(rho: DensityMatrix, rng: np.random.Generator) -> DensityMatrix:
+    """U rho U^dagger for a Haar-random U = U_A (x) U_B, made exactly Hermitian."""
+    u = np.kron(random_local_unitary(rng), random_local_unitary(rng))
+    mat = u @ rho.mat @ u.conj().T
+    return DensityMatrix(0.5 * (mat + mat.conj().T))
+
+
 def random_x_params(rng: np.random.Generator) -> XStateParams:
     """Random valid X-state parameters (diagonal Dirichlet, blocks scaled inside PSD)."""
     d = rng.dirichlet(np.ones(4))
@@ -349,11 +362,30 @@ def check_oracle_consistency(overrides: dict | None = None) -> list[VerifyResult
     for x in (1e-5, 1e-6, 1e-7, 3e-8, 1e-9, 0.0):
         near = near_werner_params(x)
         dev_exact = max(dev_exact, abs(d1_x_state(near)[0] - 1.0 / 3.0))
+    # Locally rotated X states, and rotated Werner and Bell-diagonal states
+    # (a = 0), are not X-shaped; their d1 is the unrotated state's closed form.
+    unrotated = [random_x_params(rng) for _ in range(60)]
+    unrotated += [
+        XStateParams.from_density_matrix(bell_diagonal(*random_bell_coefficients(rng)))
+        for _ in range(20)
+    ]
+    unrotated += [
+        XStateParams.from_density_matrix(bell_diagonal(*(rng.random() * _BELL_SIGNS[k % 4])))
+        for k in range(20)
+    ]
+    dev_rot_oracle = dev_rot_report = 0.0
+    for params in unrotated:
+        rho = locally_rotated(x_state(params), rng)
+        closed, _ = d1_x_state(params)
+        dev_rot_oracle = max(dev_rot_oracle, abs(d1_oracle(rho, bulk_cfg) - closed))
+        dev_rot_report = max(dev_rot_report, abs(full_report(rho).d1 - closed))
     return [
         VerifyResult("oracle.mmc_matches_closed_form", 0.0, dev_mmc, 1e-9),
         VerifyResult("oracle.d1_closed_matches_oracle", 0.0, dev_d1, ORACLE_TOL),
         VerifyResult("oracle.degenerate_case_value", 0.4, value, ORACLE_TOL),
         VerifyResult("oracle.degenerate_case_exact", 0.0, dev_exact, CLOSED_TOL),
+        VerifyResult("oracle.d1_oracle_rotated_closed_form", 0.0, dev_rot_oracle, ORACLE_TOL),
+        VerifyResult("oracle.report_rotated_closed_form", 0.0, dev_rot_report, CLOSED_TOL),
     ]
 
 

@@ -1,6 +1,9 @@
 """Write d1_oracle_bits.json: seeded non-X states with their exact d1_oracle values.
 
-    PYTHONPATH=src python tests/data/make_d1_oracle_bits.py
+    PYTHONPATH=src python tests/data/make_d1_oracle_bits.py [OUT]
+
+OUT defaults to d1_oracle_bits.json beside this script; give another path to
+diff a regeneration against the committed table.
 
 Each case holds a raw state record and ``d1_oracle`` at three settings: the
 default search, the 32x64 grid with 60 refine steps, and that search again with
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -83,7 +87,7 @@ def oracle_values(rho: DensityMatrix) -> dict:
     }
 
 
-def main() -> None:
+def main(out: Path = OUT) -> None:
     lines = []
     for rho in states():
         record = state_to_record(rho)
@@ -94,9 +98,9 @@ def main() -> None:
             "d1_eigen_axes": _eigen_axes_min(bloch_matrix(rho)).hex(),
         }
         lines.append(json.dumps(case))
-    OUT.write_text("[\n" + ",\n".join(lines) + "\n]\n", encoding="utf-8")
-    print(f"wrote {len(lines)} cases to {OUT}")
+    out.write_text("[\n" + ",\n".join(lines) + "\n]\n", encoding="utf-8")
+    print(f"wrote {len(lines)} cases to {out}")
 
 
 if __name__ == "__main__":
-    main()
+    main(*(Path(arg) for arg in sys.argv[1:2]))

@@ -1,24 +1,28 @@
 """Write golden_reports.json: state records with their `qcorr measures` records.
 
-    PYTHONPATH=src python tests/data/make_golden_reports.py
+    PYTHONPATH=src python tests/data/make_golden_reports.py [OUT]
 
-Every input is seeded, and floats are written with ``repr`` (the json module's
-default), so each record reads back bit for bit.  Regenerate only when a change
-of output is intended, and say so where the change is recorded.
+OUT defaults to golden_reports.json beside this script; give another path to
+diff a regeneration against the committed corpus.  Every input is seeded, and
+floats are written with ``repr`` (the json module's default), so each record
+reads back bit for bit.  Regenerate only when a change of output is intended,
+and say so where the change is recorded.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from qcorr.measures import full_report
 from qcorr.stateio import report_to_record, state_from_record, state_to_record
-from qcorr.states import rho_d_smax
+from qcorr.states import rho_d_smax, x_state
 from qcorr.verify import (
+    locally_rotated,
     near_werner_params,
     random_bell_coefficients,
     random_bloch_vector,
@@ -77,17 +81,24 @@ def state_records() -> list[dict]:
         }})
     for components in (1, 2, 3, 4, 6, None, None, None):
         records.append(state_to_record(random_density_matrix(rng, components)))
+    # Appended later, so the records above keep their inputs: generic mixtures,
+    # which the search serves, and locally rotated X states, which are not
+    # X-shaped but take the closed form.
+    for components in (2, 3, 4, 5, 6, 2, 3, 4, 5):
+        records.append(state_to_record(random_density_matrix(rng, components)))
+    for _ in range(3):
+        records.append(state_to_record(locally_rotated(x_state(random_x_params(rng)), rng)))
     return records
 
 
-def main() -> None:
+def main(out: Path = OUT) -> None:
     lines = []
     for record in state_records():
         report = report_to_record(full_report(state_from_record(record)))
         lines.append(json.dumps({"record": record, "report": report}))
-    OUT.write_text("[\n" + ",\n".join(lines) + "\n]\n", encoding="utf-8")
-    print(f"wrote {len(lines)} cases to {OUT}")
+    out.write_text("[\n" + ",\n".join(lines) + "\n]\n", encoding="utf-8")
+    print(f"wrote {len(lines)} cases to {out}")
 
 
 if __name__ == "__main__":
-    main()
+    main(*(Path(arg) for arg in sys.argv[1:2]))

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from qcorr.errors import DimensionError, StateError
 from qcorr.measures import (
+    X_PATTERN_TOL,
     MeasureReport,
+    _eigen_axes_min,
+    _local_x_d1,
     correlation_distance,
     covariance_matrix,
     d1_x_state,
@@ -16,7 +19,7 @@ from qcorr.measures import (
     negativity,
     singular_values_3,
 )
-from qcorr.oracles import SearchConfig, d1_oracle
+from qcorr.oracles import SearchConfig, _d1_search, bloch_matrix, d1_oracle
 from qcorr.states import (
     DensityMatrix,
     ProbTable2x2,
@@ -24,8 +27,10 @@ from qcorr.states import (
     bell_diagonal,
     cc_state,
     cq_state,
+    is_x_shaped,
     partial_trace,
     partial_transpose,
+    pauli,
     pure_state,
     qubit_state,
     rho_d,
@@ -36,19 +41,16 @@ from qcorr.stateio import report_to_record, state_from_record
 from qcorr.verify import (
     CLOSED_TOL,
     ORACLE_TOL,
+    locally_rotated,
     near_werner_params,
     random_bloch_vector,
     random_density_matrix,
+    random_local_unitary,
     random_x_params,
 )
 
 BULK = SearchConfig(coarse_grid=(32, 64), refine_iters=40, seed=0)
-
-
-def random_local_unitary(rng):
-    m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    q, r = np.linalg.qr(m)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+FINE = SearchConfig(coarse_grid=(128, 256), refine_iters=300)
 
 
 class TestCovarianceMatrix:
@@ -374,10 +376,16 @@ class TestZeroDiscordReports:
     @pytest.mark.parametrize("record", MISSED_CQ_RECORDS)
     def test_recorded_search_misses_are_closed(self, record):
         rep = full_report(state_from_record(record))
-        assert rep.d1_method == "oracle"
-        assert rep.d1 <= 1e-6
-        # The top eigen-axis of M is exact here; the search alone stops near 1e-8.
+        assert rep.d1_method == "closed_form"
         assert rep.d1 <= 1e-12
+
+    @pytest.mark.parametrize("record", MISSED_CQ_RECORDS)
+    def test_eigen_axes_close_the_recorded_search_misses(self, record):
+        # The route of every non-X state without a closed form: the search
+        # alone stops near 1e-8 here, and the top eigen-axis of M is exact.
+        r = bloch_matrix(state_from_record(record))
+        assert _d1_search(r) > 1e-9
+        assert min(_d1_search(r), _eigen_axes_min(r)) <= 1e-12
 
     def test_random_cq_states(self):
         rng = np.random.default_rng(139)
@@ -389,14 +397,18 @@ class TestZeroDiscordReports:
                 random_bloch_vector(rng),
                 random_bloch_vector(rng),
             )
-            assert full_report(rho).d1 <= 1e-6
+            rep = full_report(rho)
+            assert rep.d1_method == "closed_form"
+            assert rep.d1 <= 1e-12
 
     def test_random_cc_states(self):
         rng = np.random.default_rng(149)
         for _ in range(200):
             table = ProbTable2x2.from_array(rng.dirichlet(np.ones(4)).reshape(2, 2))
             angles = rng.random(4) * (math.pi / 2, 2 * math.pi, math.pi / 2, 2 * math.pi)
-            assert full_report(cc_state(table, *angles)).d1 <= 1e-6
+            rep = full_report(cc_state(table, *angles))
+            assert rep.d1_method == "closed_form"
+            assert rep.d1 <= 1e-12
 
     def test_never_above_the_search(self):
         rng = np.random.default_rng(151)
@@ -428,15 +440,98 @@ class TestLocalUnitaryInvariance:
             assert negativity(rotated) == pytest.approx(negativity(rho), abs=1e-10)
 
     def test_rotated_x_state_d1(self):
-        # A rotated X state is in general not X-shaped, so its d1 comes from the
-        # search; it must land at or above the unrotated closed form.
+        # A rotated X state is in general not X-shaped; its d1 is still the
+        # unrotated closed form.
         rng = np.random.default_rng(79)
         for _ in range(200):
             params = random_x_params(rng)
             u = np.kron(random_local_unitary(rng), random_local_unitary(rng))
             rotated = DensityMatrix(u @ x_state(params).mat @ u.conj().T)
             exact, _ = d1_x_state(params)
-            assert exact - CLOSED_TOL <= full_report(rotated).d1 <= exact + ORACLE_TOL
+            assert abs(full_report(rotated).d1 - exact) <= CLOSED_TOL
+
+    def test_d1_on_locally_x_states(self):
+        rng = np.random.default_rng(89)
+        states = [locally_rotated(x_state(random_x_params(rng)), rng) for _ in range(40)]
+        states += [
+            cq_state(0.3, 0.5, 1.0, (0.5, 0.0, 0.0), (0.0, 0.0, 0.8)),
+            cc_state(ProbTable2x2(0.4, 0.1, 0.2, 0.3), 0.3, 0.9, 1.2, 2.0),
+            locally_rotated(pure_state(0.6), rng),
+            locally_rotated(bell_diagonal(0.5, -0.3, 0.2), rng),
+        ]
+        for rho in states:
+            rep = full_report(rho)
+            assert rep.d1_method == "closed_form"
+            assert abs(full_report(locally_rotated(rho, rng)).d1 - rep.d1) <= CLOSED_TOL
+
+    def test_d1_on_mixtures(self):
+        # Both sides come from the search, so they agree to its accuracy.
+        rng = np.random.default_rng(97)
+        for _ in range(40):
+            rho = random_density_matrix(rng, components=int(rng.integers(2, 7)))
+            rep = full_report(rho)
+            assert rep.d1_method == "oracle"
+            assert abs(full_report(locally_rotated(rho, rng)).d1 - rep.d1) <= ORACLE_TOL
+
+
+def _coupled(params: XStateParams, coupling: float) -> DensityMatrix:
+    # The X state plus coupling * sigma_x (x) sigma_z / 4: T_13 = coupling, so
+    # A's Bloch vector (along z) misses being an eigenvector of T T^T by the
+    # relative coupling / |R| that the closed-form route tests.
+    return DensityMatrix(x_state(params).mat + 0.25 * coupling * np.kron(pauli(1), pauli(3)))
+
+
+# Non-X states whose d1 is known, each X-shaped up to local rotations.  The
+# three X states have (t1, t2, t3) = (0.24, -0.16, 0.7), (0.3, -0.1, 0.14) and
+# (0.4, -0.2, 0.06), so a, along z, lies on T's largest, middle and smallest
+# singular axis in turn; the others have a = 0 (Werner, Bell-diagonal,
+# maximally entangled, I/4) or rank R = 1 (cq, cc).
+LOCAL_X_CASES = [
+    pytest.param(XStateParams(0.45, 0.1, 0.05, 0.4, 0.1, 0.02), None, id="a on largest axis"),
+    pytest.param(XStateParams(0.34, 0.18, 0.25, 0.23, 0.1, 0.05), None, id="a on middle axis"),
+    pytest.param(XStateParams(0.3, 0.22, 0.25, 0.23, 0.15, 0.05), None, id="a on smallest axis"),
+    pytest.param(rho_d(0.1, 0.2), 0.48, id="rho_d"),
+    pytest.param(rho_theta(math.pi / 4), 0.5, id="rho_theta"),
+    pytest.param(pure_state(0.6), 0.6, id="pure"),
+    pytest.param(pure_state(1.0), 1.0, id="maximally entangled"),
+    pytest.param(bell_diagonal(-0.3, -0.3, -0.3), 0.3, id="werner"),
+    pytest.param(bell_diagonal(0.5, -0.3, 0.2), 0.3, id="bell_diagonal"),
+    pytest.param(cq_state(0.3, 0.0, 0.0, (0.5, 0.1, 0.0), (0.0, -0.3, 0.8)), 0.0, id="cq at a pole"),
+    pytest.param(cc_state(ProbTable2x2(0.4, 0.1, 0.2, 0.3), 0.3, 0.9, 1.2, 2.0), 0.0, id="cc"),
+    pytest.param(DensityMatrix(np.eye(4) / 4), 0.0, id="I/4"),
+]
+NEAR_MISS = XStateParams(0.35, 0.25, 0.15, 0.25, 0.12, 0.05)
+
+
+class TestLocalXRoute:
+    @pytest.mark.parametrize("rho, known", LOCAL_X_CASES)
+    def test_known_values(self, rho, known):
+        # known is None for an X state given by its parameters: the closed form.
+        if known is None:
+            known, _ = d1_x_state(rho)
+            rho = x_state(rho)
+        rng = np.random.default_rng(101)
+        for state in (rho, locally_rotated(rho, rng), locally_rotated(rho, rng)):
+            d1 = _local_x_d1(bloch_matrix(state))
+            assert d1 is not None and abs(d1 - known) <= CLOSED_TOL
+            if not is_x_shaped(state.mat):
+                rep = full_report(state)
+                assert (rep.d1, rep.d1_method) == (d1, "closed_form")
+
+    @pytest.mark.parametrize("scale, method", [(10.0, "oracle"), (0.1, "closed_form")])
+    def test_near_miss(self, scale, method):
+        coupling = scale * X_PATTERN_TOL * float(np.linalg.norm(bloch_matrix(x_state(NEAR_MISS))))
+        rho = locally_rotated(_coupled(NEAR_MISS, coupling), np.random.default_rng(103))
+        rep = full_report(rho)
+        assert rep.d1_method == method
+        fine = min(d1_oracle(rho, FINE), _eigen_axes_min(bloch_matrix(rho)))
+        assert abs(rep.d1 - fine) <= (CLOSED_TOL if method == "closed_form" else ORACLE_TOL)
+
+    def test_generic_mixtures_take_the_search(self):
+        rng = np.random.default_rng(107)
+        for _ in range(1000):
+            rho = random_density_matrix(rng, components=int(rng.integers(2, 7)))
+            assert _local_x_d1(bloch_matrix(rho)) is None
 
 
 class TestPartialTransposeInvariance:
