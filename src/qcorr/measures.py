@@ -19,6 +19,9 @@ qualify.  ``full_report`` takes the closed form on a state whose R lies
 within ``X_PATTERN_TOL`` |R| of such an R, so its d1 is then within
 sqrt(3) * 1e-12 of exact, and reports ``d1_method = "closed_form"``;
 "oracle" means the search.
+
+The measures take a validated :class:`DensityMatrix` and raise
+:class:`StateError` for anything else.
 """
 
 from __future__ import annotations
@@ -67,33 +70,43 @@ class MeasureReport:
             )
 
 
+def _state(rho) -> DensityMatrix:
+    # The measures are defined on validated states only; a raw array could hold anything.
+    if not isinstance(rho, DensityMatrix):
+        raise StateError(f"expected a DensityMatrix, got {type(rho).__name__}")
+    return rho
+
+
 def _covariance(c: np.ndarray) -> np.ndarray:
-    # Q = T - a b^T from the Pauli coefficients C.
-    return c[1:, 1:] - np.outer(c[1:, 0], c[0, 1:])
+    # Q = T - a b^T from the Pauli coefficients C; the products of np.outer(a, b).
+    return c[1:, 1:] - c[1:, :1] * c[:1, 1:]
 
 
 def covariance_matrix(rho: DensityMatrix) -> np.ndarray:
     """Q_ij = tr(rho sigma_i (x) sigma_j) - a_i b_j with marginal Bloch vectors a, b."""
-    return _covariance(_pauli_coefficients(rho))
+    return _covariance(_pauli_coefficients(_state(rho)))
 
 
 def singular_values_3(q) -> np.ndarray:
     """Singular values of a real 3x3 matrix, descending.
 
     Computed as the square roots of the spectrum of ``q^T q``; eigenvalues in
-    ``[-1e-14, 0)`` are clamped to zero.  Anything more negative raises
-    :class:`StateError`: ``q`` is a state's covariance matrix, and no valid
-    state gives one.
+    ``[-1e-14, 0)`` are clamped to zero.  Anything more negative, and any
+    non-finite entry of ``q``, raises :class:`StateError`: ``q`` is a state's
+    covariance matrix, and no valid state gives one.
     """
     q = np.asarray(q, dtype=float)
     if q.shape != (3, 3):
         raise DimensionError(f"expected a 3x3 real matrix, got shape {q.shape}")
+    if np.count_nonzero(np.isfinite(q)) < 9:
+        raise StateError("matrix has non-finite entries")
     gram = np.linalg.eigvalsh(q.T @ q)[::-1]
     if gram[-1] < -1e-14:
         raise StateError(
             f"Gram eigenvalue {gram[-1]:.3e} is negative beyond roundoff"
         )
-    return np.sqrt(np.clip(gram, 0.0, None))
+    # Clamped as np.clip does: gram first, so a -0.0 becomes +0.0.
+    return np.sqrt(np.maximum(gram, 0.0))
 
 
 def mmc(rho: DensityMatrix) -> float:
@@ -101,8 +114,8 @@ def mmc(rho: DensityMatrix) -> float:
     return float(singular_values_3(covariance_matrix(rho))[0])
 
 
-def _distance_from_singular_values(t) -> float:
-    t1, t2, t3 = (float(v) for v in t)
+def _distance_from_singular_values(t: list[float]) -> float:
+    t1, t2, t3 = t
     return 0.25 * (
         abs(t1 + t2 + t3) + abs(t1 + t2 - t3) + abs(t1 - t2 + t3) + abs(-t1 + t2 + t3)
     )
@@ -113,7 +126,7 @@ def correlation_distance(rho: DensityMatrix) -> float:
 
     Evaluates to t1 when t1 >= t2 + t3 and to (t1 + t2 + t3) / 2 otherwise.
     """
-    return _distance_from_singular_values(singular_values_3(covariance_matrix(rho)))
+    return _distance_from_singular_values(singular_values_3(covariance_matrix(rho)).tolist())
 
 
 def negativity(rho: DensityMatrix) -> float:
@@ -124,7 +137,9 @@ def negativity(rho: DensityMatrix) -> float:
     construction, and partial transposition only permutes entries, so the
     spectrum comes straight from ``eigvalsh``.
     """
-    value = float(np.abs(np.linalg.eigvalsh(partial_transpose(rho))).sum()) - 1.0
+    e0, e1, e2, e3 = np.linalg.eigvalsh(partial_transpose(_state(rho))).tolist()
+    # Summed in the order numpy sums four elements.
+    value = abs(e0) + abs(e1) + abs(e2) + abs(e3) - 1.0
     return value if value > 0.0 else 0.0
 
 
@@ -282,9 +297,8 @@ def full_report(rho: DensityMatrix) -> MeasureReport:
     ``d1_oracle(rho, SearchConfig(...))``.
     """
     # One matrix of Pauli coefficients gives Q, a, b and R = C[1:].
-    c = _pauli_coefficients(rho)
-    t = singular_values_3(_covariance(c))
-    a, b = c[1:, 0], c[0, 1:]
+    c = _pauli_coefficients(_state(rho))
+    t = singular_values_3(_covariance(c)).tolist()
     if is_x_shaped(rho.mat, X_PATTERN_TOL):
         d1, method = d1_x_state(XStateParams.from_density_matrix(rho))
     else:
@@ -293,12 +307,12 @@ def full_report(rho: DensityMatrix) -> MeasureReport:
         if d1 is None:
             d1, method = min(_d1_search(r), _eigen_axes_min(r)), "oracle"
     return MeasureReport(
-        mmc=float(t[0]),
+        mmc=t[0],
         correlation_distance=_distance_from_singular_values(t),
         negativity=negativity(rho),
         d1=float(d1),
         d1_method=method,
-        singular_values=(float(t[0]), float(t[1]), float(t[2])),
-        bloch_a=tuple(float(v) for v in a),
-        bloch_b=tuple(float(v) for v in b),
+        singular_values=tuple(t),
+        bloch_a=tuple(c[1:, 0].tolist()),
+        bloch_b=tuple(c[0, 1:].tolist()),
     )

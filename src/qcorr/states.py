@@ -32,11 +32,8 @@ _EYE2 = np.eye(2, dtype=complex)
 # _PAULI[i, j] = sigma_i (x) sigma_j with sigma_0 = I, for i, j = 0..3.
 _PAULI = np.array([[np.kron(si, sj) for sj in (_EYE2, *_SIGMA)] for si in (_EYE2, *_SIGMA)])
 
-# Entries allowed to be nonzero in an X-shaped matrix: diagonal + anti-diagonal.
-_X_MASK = np.zeros((4, 4), dtype=bool)
-for _i in range(4):
-    _X_MASK[_i, _i] = True
-    _X_MASK[_i, 3 - _i] = True
+# Entries that must vanish in an X-shaped matrix: all but the diagonal and anti-diagonal.
+_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 
 
 def pauli(i: int) -> np.ndarray:
@@ -53,9 +50,9 @@ def _as_bloch(vec, what: str = "Bloch vector") -> np.ndarray:
         raise StateError(f"{what} must be a real 3-vector") from exc
     if v.shape != (3,):
         raise StateError(f"{what} must have exactly 3 components, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if np.count_nonzero(np.isfinite(v)) < 3:
         raise StateError(f"{what} has non-finite components")
-    norm = float(np.linalg.norm(v))
+    norm = math.sqrt(float(v.dot(v)))  # what np.linalg.norm computes for a real 1-D v
     if norm > 1.0 + BLOCH_TOL:
         raise StateError(f"{what} norm {norm:.12g} exceeds 1")
     return v
@@ -98,17 +95,18 @@ class DensityMatrix:
     __slots__ = ("mat",)
 
     def __init__(self, mat):
-        m = np.asarray(mat, dtype=complex)
+        m = np.array(mat, dtype=complex, order="C")  # a copy the caller cannot change
         if m.shape != (4, 4):
             raise StateError(f"density matrix must be 4x4, got shape {m.shape}")
-        if not np.isfinite(m).all():
+        if np.count_nonzero(np.isfinite(m)) < 16:  # cheaper than .all() on a 4x4
             raise StateError("density matrix has non-finite entries")
         herm_dev = float(np.abs(m - m.conj().T).max())
         if herm_dev > HERMITICITY_TOL:
             raise StateError(
                 f"density matrix is not Hermitian: max deviation {herm_dev:.3e}"
             )
-        tr = complex(m.trace())
+        d0, d1, d2, d3 = m.diagonal().tolist()
+        tr = (d0 + d1) + (d2 + d3)  # paired as m.trace() pairs them
         if abs(tr - 1.0) > TRACE_TOL:
             raise StateError(f"density matrix trace {tr:.15g} differs from 1")
         smallest = float(np.linalg.eigvalsh(m)[0])
@@ -116,7 +114,6 @@ class DensityMatrix:
             raise StateError(
                 f"density matrix is not positive semidefinite: eigenvalue {smallest:.3e}"
             )
-        m = m.copy()
         m.setflags(write=False)
         self.mat = m
 
@@ -146,15 +143,19 @@ class XStateParams:
     rho23: float
 
     def __post_init__(self):
-        diag = (self.rho11, self.rho22, self.rho33, self.rho44)
-        if not all(PSD_TOL <= v < math.inf for v in diag) or not all(
-            0.0 <= v < math.inf for v in (self.rho14, self.rho23)
+        if not (
+            PSD_TOL <= self.rho11 < math.inf
+            and PSD_TOL <= self.rho22 < math.inf
+            and PSD_TOL <= self.rho33 < math.inf
+            and PSD_TOL <= self.rho44 < math.inf
+            and 0.0 <= self.rho14 < math.inf
+            and 0.0 <= self.rho23 < math.inf
         ):
             raise StateError(
                 f"X-state parameters must be finite, the diagonal at least {PSD_TOL:g} "
                 "and rho14, rho23 non-negative"
             )
-        total = sum(diag)
+        total = sum((self.rho11, self.rho22, self.rho33, self.rho44))
         if abs(total - 1.0) > TRACE_TOL:
             raise StateError(f"X-state diagonal sums to {total:.15g}, expected 1")
         if self.rho14**2 > (self.rho11 - PSD_TOL) * (self.rho44 - PSD_TOL):
@@ -171,11 +172,12 @@ class XStateParams:
         here unchanged.
         """
         m = rho.mat
+        rho11, rho22, rho33, rho44 = m.diagonal().real.tolist()
         return cls(
-            rho11=float(m[0, 0].real),
-            rho22=float(m[1, 1].real),
-            rho33=float(m[2, 2].real),
-            rho44=float(m[3, 3].real),
+            rho11=rho11,
+            rho22=rho22,
+            rho33=rho33,
+            rho44=rho44,
             rho14=float(abs(m[0, 3])),
             rho23=float(abs(m[1, 2])),
         )
@@ -203,13 +205,14 @@ class ProbTable2x2:
         t = np.asarray(table, dtype=float)
         if t.shape != (2, 2):
             raise StateError(f"probability table must be 2x2, got shape {t.shape}")
-        return cls(p11=float(t[0, 0]), p12=float(t[0, 1]), p21=float(t[1, 0]), p22=float(t[1, 1]))
+        (p11, p12), (p21, p22) = t.tolist()
+        return cls(p11=p11, p12=p12, p21=p21, p22=p22)
 
 
 def is_x_shaped(mat: np.ndarray, tol: float = 1e-12) -> bool:
     """True if every entry off the diagonal/anti-diagonal has magnitude below ``tol``."""
     m = np.asarray(mat)
-    return bool(np.abs(m[~_X_MASK]).max() < tol)
+    return bool(np.abs(m[_OFF_X]).max() < tol)
 
 
 def pure_state(n: float) -> DensityMatrix:
@@ -349,13 +352,17 @@ def partial_trace(rho: DensityMatrix, side: str) -> np.ndarray:
 
 
 def partial_transpose(rho: DensityMatrix) -> np.ndarray:
-    """Transpose of the second tensor factor; Hermitian and trace 1, possibly non-PSD."""
-    return rho.mat.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4).copy()
+    """Transpose of the second tensor factor; Hermitian and trace 1, possibly non-PSD.
+
+    The result is a new, writeable array that shares no memory with ``rho.mat``.
+    """
+    # The last reshape cannot view the transposed axes, so it copies.
+    return rho.mat.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
 def _pauli_coefficients(rho) -> np.ndarray:
     """C_ij = tr(rho sigma_i (x) sigma_j), sigma_0 = I: a = C[1:, 0], b = C[0, 1:], T = C[1:, 1:]."""
-    return np.real(np.einsum("ijab,ba->ij", _PAULI, _as_mat(rho)))
+    return np.einsum("ijab,ba->ij", _PAULI, _as_mat(rho)).real
 
 
 def bloch_vectors(rho) -> tuple[np.ndarray, np.ndarray]:

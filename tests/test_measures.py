@@ -71,7 +71,8 @@ class TestCovarianceMatrix:
 
 class TestSingularValues3:
     def test_zero_matrix(self):
-        assert np.array_equal(singular_values_3(np.zeros((3, 3))), np.zeros(3))
+        got = singular_values_3(np.zeros((3, 3)))
+        assert np.array_equal(got, np.zeros(3)) and not np.signbit(got).any()
 
     def test_pure_state_covariance_values(self):
         q = np.diag([0.6, -0.6, 0.36])
@@ -86,6 +87,7 @@ class TestSingularValues3:
         assert got[0] == pytest.approx(expected_top, abs=1e-12)
         assert got[1] == pytest.approx(0.0, abs=1e-12)
         assert got[2] == pytest.approx(0.0, abs=1e-12)
+        assert not np.signbit(got).any()
         # brute-force cross-check through the Gram matrix spectrum
         gram = np.linalg.eigvalsh(q.T @ q)
         assert np.allclose(np.sort(got**2), np.clip(gram, 0, None), atol=1e-12)
@@ -100,6 +102,19 @@ class TestSingularValues3:
         with pytest.raises(StateError, match="negative beyond roundoff"):
             singular_values_3(np.eye(3))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_is_state_error(self, value):
+        q = np.diag([0.5, 0.2, 0.1])
+        q[1, 2] = value
+        with pytest.raises(StateError, match="non-finite"):
+            singular_values_3(q)
+
+    def test_clamp_turns_negative_zero_into_positive_zero(self, monkeypatch):
+        # eigvalsh returned no -0.0 on the matrices tried, so the spectrum is patched.
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: np.array([-1e-15, -0.0, 1.0]))
+        got = singular_values_3(np.eye(3))
+        assert got.tolist() == [1.0, 0.0, 0.0] and not np.signbit(got).any()
+
     def test_transpose_invariance(self):
         # generic random matrices; the Gram-based route loses the 1e-10
         # guarantee only on exactly singular inputs, where sqrt amplifies
@@ -110,6 +125,17 @@ class TestSingularValues3:
             a = singular_values_3(q)
             b = singular_values_3(q.T)
             assert np.abs(a - b).max() <= 1e-10
+
+
+NOT_STATES = [np.zeros((4, 4)), np.eye(4), np.eye(4).tolist(), None]
+
+
+@pytest.mark.parametrize("measure", [covariance_matrix, mmc, correlation_distance, negativity, full_report])
+@pytest.mark.parametrize("value", NOT_STATES, ids=["zeros", "eye", "list", "None"])
+def test_measures_take_only_a_density_matrix(measure, value):
+    # A raw array is never validated, so it could turn garbage into a plausible number.
+    with pytest.raises(StateError, match="DensityMatrix"):
+        measure(value)
 
 
 class TestMmc:
@@ -344,6 +370,20 @@ class TestFullReport:
             assert rep.mmc == rep.singular_values[0]
             assert rep.mmc - 1e-12 <= rep.correlation_distance <= 1.5 * rep.mmc + 1e-12
 
+    def test_numeric_fields_are_python_floats(self):
+        rng = np.random.default_rng(73)
+        states = [
+            bell_diagonal(0.5, -0.3, 0.2),
+            DensityMatrix(np.eye(4) / 4),
+            locally_rotated(rho_d(0.1, 0.2), rng),
+            random_density_matrix(rng, components=3),
+        ]
+        for rho in states:
+            rep = full_report(rho)
+            values = [rep.mmc, rep.correlation_distance, rep.negativity, rep.d1]
+            values += [*rep.singular_values, *rep.bloch_a, *rep.bloch_b]
+            assert all(type(v) is float for v in values)
+
     def test_inconsistent_report_rejected(self):
         with pytest.raises(ValueError):
             MeasureReport(
@@ -526,6 +566,27 @@ class TestLocalXRoute:
         assert rep.d1_method == method
         fine = min(d1_oracle(rho, FINE), _eigen_axes_min(bloch_matrix(rho)))
         assert abs(rep.d1 - fine) <= (CLOSED_TOL if method == "closed_form" else ORACLE_TOL)
+
+    def test_a_zero_states_against_the_fine_oracle(self):
+        # (I + I (x) b.sigma + sum_ij T_ij sigma_i (x) sigma_j) / 4 with
+        # |b| + t1 + t2 + t3 <= 1 is a state: each term's spectrum lies in
+        # [-weight, weight].  b != 0 and rotated T keep it off the X pattern.
+        rng = np.random.default_rng(109)
+        eye2 = np.eye(2)
+        for _ in range(20):
+            weights = rng.dirichlet(np.ones(5))[:4]
+            direction = rng.standard_normal(3)
+            b = weights[0] * direction / np.linalg.norm(direction)
+            u, v = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
+            t = u @ np.diag(weights[1:]) @ v.T
+            m = np.eye(4) + sum(b[j] * np.kron(eye2, pauli(j + 1)) for j in range(3))
+            m = m + sum(t[i, j] * np.kron(pauli(i + 1), pauli(j + 1)) for i in range(3) for j in range(3))
+            rho = DensityMatrix(m / 4)
+            assert not is_x_shaped(rho.mat)
+            rep = full_report(rho)
+            oracle = d1_oracle(rho, FINE)
+            assert rep.d1_method == "closed_form"
+            assert oracle - ORACLE_TOL <= rep.d1 <= oracle + CLOSED_TOL
 
     def test_generic_mixtures_take_the_search(self):
         rng = np.random.default_rng(107)

@@ -286,6 +286,14 @@ class TestXState:
         with pytest.raises(StateError, match="finite"):
             XStateParams(math.nan, 0.25, 0.25, 0.25, 0.0, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", range(6))
+    def test_rejects_non_finite_in_every_field(self, field, value):
+        params = [0.25, 0.25, 0.25, 0.25, 0.0, 0.0]
+        params[field] = value
+        with pytest.raises(StateError, match="finite"):
+            XStateParams(*params)
+
 
 class TestRhoD:
     def test_smax_value(self):
@@ -385,6 +393,14 @@ class TestPartialTranspose:
             assert np.trace(pt).real == pytest.approx(1.0, abs=1e-12)
             back = pt.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
             assert np.abs(back - rho.mat).max() <= 1e-14
+
+    def test_result_is_a_new_writeable_array(self):
+        rho = bell_diagonal(0.5, -0.3, 0.2)
+        before = rho.mat.copy()
+        pt = partial_transpose(rho)
+        assert pt.flags.writeable and not np.shares_memory(pt, rho.mat)
+        pt[:] = 0.0
+        assert np.array_equal(rho.mat, before)
 
 
 class TestBlochAndCorrelation:
