@@ -366,7 +366,7 @@ RECORD_ERRORS = {
 
 
 @pytest.mark.parametrize("case", sorted(RECORD_ERRORS))
-def test_record_error_exits_2_before_any_output(capsys, monkeypatch, case):
+def test_ignored_parameter_exit_2_before_any_output(capsys, monkeypatch, case):
     def no_rows(rho):
         pytest.fail("a report was computed for a rejected record")
 
