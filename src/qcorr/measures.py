@@ -38,7 +38,6 @@ from .states import (
     XStateParams,
     _pauli_coefficients,
     is_x_shaped,
-    partial_transpose,
 )
 
 X_PATTERN_TOL = 1e-12
@@ -135,9 +134,10 @@ def negativity(rho: DensityMatrix) -> float:
     The clamp only absorbs eigenvalue noise on separability-boundary states;
     the exact value is never below zero.  ``rho`` was checked Hermitian on
     construction, and partial transposition only permutes entries, so the
-    spectrum comes straight from ``eigvalsh``.
+    spectrum is ``eigvalsh``'s, which validation computed together with the
+    state's own and stored as ``rho.pt_spectrum``: no LAPACK call here.
     """
-    e0, e1, e2, e3 = np.linalg.eigvalsh(partial_transpose(_state(rho))).tolist()
+    e0, e1, e2, e3 = _state(rho).pt_spectrum
     # Summed in the order numpy sums four elements.
     value = abs(e0) + abs(e1) + abs(e2) + abs(e3) - 1.0
     return value if value > 0.0 else 0.0
@@ -164,19 +164,29 @@ def _x_form_d1(x2: float, s1: float, s2: float, s3: float, r1: float) -> float:
     return math.sqrt((s1 * w1 + small * w2) / (w1 + w2))
 
 
-def d1_x_state(params: XStateParams) -> tuple[float, str]:
-    """Trace-norm discord of an X-shaped state, with the method that produced it.
+def _x_entries_d1(rho11: float, rho22: float, rho33: float, rho14: float, rho23: float) -> float:
+    """d1 of an X-shaped state from its diagonal and the moduli rho14, rho23 >= 0.
 
     The state's X form has x = 2(rho11 + rho22) - 1 and
     t = (2(rho23 + rho14), 2(rho23 - rho14), 1 - 2(rho22 + rho33)), and
     rho14, rho23 >= 0 gives |t1| >= |t2|; d1 is :func:`_x_form_d1` of
-    x^2 and s_i = t_i^2.  The method always reads "closed_form".
+    x^2 and s_i = t_i^2.
     """
-    x = 2.0 * (params.rho11 + params.rho22) - 1.0
-    a1 = 2.0 * (params.rho23 + params.rho14)
-    a2 = 2.0 * (params.rho23 - params.rho14)
-    a3 = 1.0 - 2.0 * (params.rho22 + params.rho33)
-    return _x_form_d1(x * x, a1 * a1, a2 * a2, a3 * a3, abs(a1)), "closed_form"
+    x = 2.0 * (rho11 + rho22) - 1.0
+    a1 = 2.0 * (rho23 + rho14)
+    a2 = 2.0 * (rho23 - rho14)
+    a3 = 1.0 - 2.0 * (rho22 + rho33)
+    return _x_form_d1(x * x, a1 * a1, a2 * a2, a3 * a3, abs(a1))
+
+
+def d1_x_state(params: XStateParams) -> tuple[float, str]:
+    """Trace-norm discord of an X-shaped state, with the method that produced it.
+
+    d1 is :func:`_x_entries_d1` of the parameters; the method always reads
+    "closed_form".
+    """
+    d1 = _x_entries_d1(params.rho11, params.rho22, params.rho33, params.rho14, params.rho23)
+    return d1, "closed_form"
 
 
 def _dot(x, y) -> float:
@@ -299,8 +309,12 @@ def full_report(rho: DensityMatrix) -> MeasureReport:
     # One matrix of Pauli coefficients gives Q, a, b and R = C[1:].
     c = _pauli_coefficients(_state(rho))
     t = singular_values_3(_covariance(c)).tolist()
-    if is_x_shaped(rho.mat, X_PATTERN_TOL):
-        d1, method = d1_x_state(XStateParams.from_density_matrix(rho))
+    rows = rho.mat.tolist()
+    if is_x_shaped(rows, X_PATTERN_TOL):
+        # The entries XStateParams.from_density_matrix reads, without validating rho again.
+        (m00, _, _, m03), (_, m11, m12, _), (_, _, m22, _), _ = rows
+        d1 = _x_entries_d1(m00.real, m11.real, m22.real, abs(m03), abs(m12))
+        method = "closed_form"
     else:
         r = c[1:]
         d1, method = _local_x_d1(r), "closed_form"

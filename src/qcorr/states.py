@@ -32,8 +32,10 @@ _EYE2 = np.eye(2, dtype=complex)
 # _PAULI[i, j] = sigma_i (x) sigma_j with sigma_0 = I, for i, j = 0..3.
 _PAULI = np.array([[np.kron(si, sj) for sj in (_EYE2, *_SIGMA)] for si in (_EYE2, *_SIGMA)])
 
-# Entries that must vanish in an X-shaped matrix: all but the diagonal and anti-diagonal.
-_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+# Flat indices of a 4x4 matrix and of its partial transpose on B: one take() stacks both.
+_SPECTRA_INDEX = np.stack(
+    [np.arange(16).reshape(4, 4), np.arange(16).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)]
+)
 
 
 def pauli(i: int) -> np.ndarray:
@@ -89,10 +91,13 @@ class DensityMatrix:
 
     Construction rejects (rather than repairs) anything that is not Hermitian
     within 1e-12, unit trace within 1e-12, and positive semidefinite down to
-    eigenvalue -1e-10.
+    eigenvalue -1e-10.  Validation computes the spectra of the matrix and of
+    its partial transpose on B in one ``eigvalsh`` call on the two stacked;
+    the second is kept as ``pt_spectrum``, a tuple of four floats in
+    ascending order, which :func:`qcorr.measures.negativity` reads.
     """
 
-    __slots__ = ("mat",)
+    __slots__ = ("mat", "pt_spectrum")
 
     def __init__(self, mat):
         m = np.array(mat, dtype=complex, order="C")  # a copy the caller cannot change
@@ -109,13 +114,14 @@ class DensityMatrix:
         tr = (d0 + d1) + (d2 + d3)  # paired as m.trace() pairs them
         if abs(tr - 1.0) > TRACE_TOL:
             raise StateError(f"density matrix trace {tr:.15g} differs from 1")
-        smallest = float(np.linalg.eigvalsh(m)[0])
-        if smallest < PSD_TOL:
+        spectrum, pt_spectrum = np.linalg.eigvalsh(m.take(_SPECTRA_INDEX)).tolist()
+        if spectrum[0] < PSD_TOL:
             raise StateError(
-                f"density matrix is not positive semidefinite: eigenvalue {smallest:.3e}"
+                f"density matrix is not positive semidefinite: eigenvalue {spectrum[0]:.3e}"
             )
         m.setflags(write=False)
         self.mat = m
+        self.pt_spectrum = tuple(pt_spectrum)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DensityMatrix(\n{np.array_str(self.mat, precision=6)}\n)"
@@ -209,10 +215,18 @@ class ProbTable2x2:
         return cls(p11=p11, p12=p12, p21=p21, p22=p22)
 
 
-def is_x_shaped(mat: np.ndarray, tol: float = 1e-12) -> bool:
-    """True if every entry off the diagonal/anti-diagonal has magnitude below ``tol``."""
-    m = np.asarray(mat)
-    return bool(np.abs(m[_OFF_X]).max() < tol)
+def is_x_shaped(mat, tol: float = 1e-12) -> bool:
+    """True if every entry off the diagonal/anti-diagonal has magnitude below ``tol``.
+
+    ``mat`` is a 4x4 array, or its rows as nested lists (``ndarray.tolist()``).
+    A NaN entry makes the matrix not X-shaped.
+    """
+    rows = mat if isinstance(mat, list) else np.asarray(mat).tolist()
+    (_, m01, m02, _), (m10, _, _, m13), (m20, _, _, m23), (_, m31, m32, _) = rows
+    return (
+        abs(m01) < tol and abs(m02) < tol and abs(m10) < tol and abs(m13) < tol
+        and abs(m20) < tol and abs(m23) < tol and abs(m31) < tol and abs(m32) < tol
+    )
 
 
 def pure_state(n: float) -> DensityMatrix:
@@ -321,24 +335,34 @@ def rho_theta(theta: float) -> DensityMatrix:
 def bell_diagonal(c1: float, c2: float, c3: float) -> DensityMatrix:
     """Bell-diagonal state (I (x) I + sum_j c_j sigma_j (x) sigma_j) / 4.
 
-    Valid exactly when (c1, c2, c3) lies in the tetrahedron making all four
-    Bell-basis eigenvalues non-negative.
+    Valid exactly when (c1, c2, c3) is finite and lies in the tetrahedron
+    making all four Bell-basis eigenvalues non-negative.
     """
-    lam = 0.25 * np.array(
-        [
-            1.0 - c1 - c2 - c3,
-            1.0 - c1 + c2 + c3,
-            1.0 + c1 - c2 + c3,
-            1.0 + c1 + c2 - c3,
-        ]
+    if not (math.isfinite(c1) and math.isfinite(c2) and math.isfinite(c3)):
+        raise StateError(f"Bell-diagonal coefficients must be finite, got ({c1}, {c2}, {c3})")
+    smallest = min(
+        0.25 * (1.0 - c1 - c2 - c3),
+        0.25 * (1.0 - c1 + c2 + c3),
+        0.25 * (1.0 + c1 - c2 + c3),
+        0.25 * (1.0 + c1 + c2 - c3),
     )
-    if float(lam.min()) < PSD_TOL:
+    if smallest < PSD_TOL:
         raise StateError(
             f"coefficients ({c1}, {c2}, {c3}) lie outside the Bell-diagonal "
-            f"tetrahedron: eigenvalue {float(lam.min()):.3e}"
+            f"tetrahedron: eigenvalue {smallest:.3e}"
         )
-    m = 0.25 * (_PAULI[0, 0] + c1 * _PAULI[1, 1] + c2 * _PAULI[2, 2] + c3 * _PAULI[3, 3])
-    return DensityMatrix(m)
+    # 0.25 * (I + c1 XX + c2 YY + c3 ZZ) as numpy's complex arithmetic gives
+    # it, signed zeros included.  Each product of a c_j with a zero of a Pauli
+    # term is a signed zero, and adding it to the identity's entry (1.0, or
+    # +0.0 off the diagonal, hence the 0.0 + below) leaves no -0.0, so the
+    # imaginary parts and the entries off the X pattern are +0.0.
+    d0 = 0.25 * (1.0 + c3)
+    d1 = 0.25 * (1.0 - c3)
+    o14 = 0.25 * (0.0 + c1 - c2)
+    o23 = 0.25 * (0.0 + c1 + c2)
+    return DensityMatrix(
+        [[d0, 0.0, 0.0, o14], [0.0, d1, o23, 0.0], [0.0, o23, d1, 0.0], [o14, 0.0, 0.0, d0]]
+    )
 
 
 def partial_trace(rho: DensityMatrix, side: str) -> np.ndarray:
@@ -356,8 +380,7 @@ def partial_transpose(rho: DensityMatrix) -> np.ndarray:
 
     The result is a new, writeable array that shares no memory with ``rho.mat``.
     """
-    # The last reshape cannot view the transposed axes, so it copies.
-    return rho.mat.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    return rho.mat.take(_SPECTRA_INDEX[1])
 
 
 def _pauli_coefficients(rho) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 
 from qcorr.measures import _eigen_axes_min
 from qcorr.oracles import _grid_frames, _grid_node, bloch_matrix, frame_norms
-from qcorr.states import _EYE2, DensityMatrix, ProbTable2x2, projector_pair
+from qcorr.states import _EYE2, _PAULI, DensityMatrix, ProbTable2x2, projector_pair
 
 
 def measurement_map(rho: DensityMatrix, theta: float, phi: float) -> DensityMatrix:
@@ -24,6 +24,11 @@ def measurement_map(rho: DensityMatrix, theta: float, phi: float) -> DensityMatr
     k1 = np.kron(p1, _EYE2)
     k2 = np.kron(p2, _EYE2)
     return DensityMatrix(k1 @ rho.mat @ k1 + k2 @ rho.mat @ k2)
+
+
+def bell_diagonal_pauli_sum(c1: float, c2: float, c3: float) -> np.ndarray:
+    """The Bell-diagonal matrix as numpy's complex sum of Pauli products; ``bell_diagonal`` must match its bits."""
+    return 0.25 * (_PAULI[0, 0] + c1 * _PAULI[1, 1] + c2 * _PAULI[2, 2] + c3 * _PAULI[3, 3])
 
 
 def classical_cov_from_moments(p: ProbTable2x2) -> float:

@@ -120,6 +120,16 @@ class TestMeasures:
         assert (code, out) == (3, "")
         assert err.startswith("invalid state:") and message in err
 
+    def test_infinite_bell_coefficient_exit_3(self, capsys):
+        # (inf, -inf, 0) once passed the tetrahedron check as NaN and warned in numpy.
+        record = {"family": "bell_diagonal", "params": {"c1": math.inf, "c2": -math.inf, "c3": 0.0}}
+        text = json.dumps(record)
+        assert "Infinity" in text
+        code, out, err = run_cli(capsys, "measures", "--inline", text)
+        assert (code, out) == (3, "")
+        assert err.startswith("invalid state: Bell-diagonal") and "finite" in err
+        assert err.count("\n") == 1
+
     def test_nan_raw_record_exit_3(self, capsys):
         re = (np.eye(4) / 4).tolist()
         re[0][1] = re[1][0] = math.nan
@@ -307,10 +317,10 @@ class TestSweep:
         assert code == 2
 
 
-# Each case is a record error: an unknown, missing or ill-typed parameter, or
-# an unknown key.  Cases given for both commands put the same parameters in a
-# measures record and in a sweep's fixed parameters, with the swept value
-# added to the former.
+# Each case is a record error: an unknown key or parameter (IGNORED_KEYS),
+# or a missing, ill-typed or conflicting one (RECORD_ERRORS).  Cases given for
+# both commands put the same parameters in a measures record and in a sweep's
+# fixed parameters, with the swept value added to the former.
 _RANGE = {"start": 0.01, "stop": 0.2, "steps": 3}
 _CC = {"p": [[0.4, 0.1], [0.2, 0.3]], "phi_a": 0.0}
 _CQ = {"theta": 0.3, "phi": 0.0, "a1": [1, 0, 0], "a2": [0, 0, 1]}
@@ -325,9 +335,15 @@ def _both(family, param, fixed):
     }
 
 
-RECORD_ERRORS = {
+IGNORED_KEYS = {
     "unknown pure parameter": _both("pure", "n", {"bogus": 1}),
     "misspelt cc angle": _both("cc", "theta_a", {**_CC, "theta_B": 1.0}),
+    "unknown top-level key": {
+        "measures": {"family": "rho_d", "params": {"w": 0.1, "s": 0.1}, "parms": {}},
+        "sweep": {"family": "rho_d", "param": "s", **_RANGE, "fixd": {"w": 0.1}},
+    },
+}
+RECORD_ERRORS = {
     "swept parameter also fixed": {
         "sweep": {"family": "rho_d", "param": "s", **_RANGE, "fixed": {"w": 0.1, "s": 0.1}},
     },
@@ -354,10 +370,6 @@ RECORD_ERRORS = {
     "nested raw entry": {
         "measures": {"family": "raw", "params": {**_RAW, "im": [[0, 0, 0, [0]], *_RAW["im"][1:]]}},
     },
-    "unknown top-level key": {
-        "measures": {"family": "rho_d", "params": {"w": 0.1, "s": 0.1}, "parms": {}},
-        "sweep": {"family": "rho_d", "param": "s", **_RANGE, "fixd": {"w": 0.1}},
-    },
     "list as family": {
         "measures": {"family": ["rho_d"], "params": {"w": 0.1, "s": 0.1}},
         "sweep": {"family": ["rho_d"], "param": "s", **_RANGE, "fixed": {"w": 0.1}},
@@ -365,16 +377,25 @@ RECORD_ERRORS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(RECORD_ERRORS))
-def test_ignored_parameter_exit_2_before_any_output(capsys, monkeypatch, case):
+def assert_exit_2_before_any_output(capsys, monkeypatch, records):
     def no_rows(rho):
         pytest.fail("a report was computed for a rejected record")
 
     monkeypatch.setattr(cli, "full_report", no_rows)
-    for command, record in RECORD_ERRORS[case].items():
+    for command, record in records.items():
         code, out, err = run_cli(capsys, command, "--inline", json.dumps(record))
         assert (code, out) == (2, ""), command
         assert err.startswith("error: "), command
+
+
+@pytest.mark.parametrize("case", sorted(IGNORED_KEYS))
+def test_ignored_parameter_exit_2_before_any_output(capsys, monkeypatch, case):
+    assert_exit_2_before_any_output(capsys, monkeypatch, IGNORED_KEYS[case])
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_ERRORS))
+def test_record_error_exits_2_before_any_output(capsys, monkeypatch, case):
+    assert_exit_2_before_any_output(capsys, monkeypatch, RECORD_ERRORS[case])
 
 
 def test_infinite_angle_is_an_invalid_state(capsys):

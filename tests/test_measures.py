@@ -384,6 +384,56 @@ class TestFullReport:
             values += [*rep.singular_values, *rep.bloch_a, *rep.bloch_b]
             assert all(type(v) is float for v in values)
 
+    def test_x_route_d1_matches_d1_x_state_bit_for_bit(self):
+        # Complex anti-diagonal phases and off-pattern entries just below
+        # X_PATTERN_TOL: the route reads the entries XStateParams would.
+        rng = np.random.default_rng(331)
+        below = 0.999 * X_PATTERN_TOL
+        for _ in range(300):
+            p = random_x_params(rng)
+            m = np.diag([p.rho11, p.rho22, p.rho33, p.rho44]).astype(complex)
+            m[0, 3] = p.rho14 * np.exp(1j * rng.uniform(-math.pi, math.pi))
+            m[1, 2] = p.rho23 * np.exp(1j * rng.uniform(-math.pi, math.pi))
+            for i, j in ((0, 1), (0, 2), (1, 3), (2, 3)):
+                if rng.random() < 0.5:
+                    m[i, j] = below * np.exp(1j * rng.uniform(-math.pi, math.pi))
+            m[3, 0], m[2, 1] = m[0, 3].conjugate(), m[1, 2].conjugate()
+            for i, j in ((0, 1), (0, 2), (1, 3), (2, 3)):
+                m[j, i] = m[i, j].conjugate()
+            rho = DensityMatrix(m)
+            assert is_x_shaped(rho.mat, X_PATTERN_TOL)
+            rep = full_report(rho)
+            expected, _ = d1_x_state(XStateParams.from_density_matrix(rho))
+            assert rep.d1_method == "closed_form"
+            assert rep.d1.hex() == expected.hex()
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"family": "pure", "params": {"n": 0.6}},
+            {"family": "cq", "params": {"p1": 0.3, "theta": 0.4, "phi": 0.2, "a1": [0.1, 0.5, -0.3], "a2": [0, -0.2, 0.7]}},
+            {"family": "cc", "params": {"p": [[0.4, 0.1], [0.2, 0.3]], "theta_a": 0.3, "phi_a": 0.5}},
+            {"family": "x", "params": {"rho11": 0.3, "rho22": 0.2, "rho33": 0.1, "rho44": 0.4, "rho14": 0.25, "rho23": 0.1}},
+            {"family": "rho_d", "params": {"w": 0.1, "s": 0.2}},
+            {"family": "rho_theta", "params": {"theta": 0.8}},
+            {"family": "bell_diagonal", "params": {"c": [0.5, -0.3, 0.2]}},
+            {"family": "raw", "params": {"re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist()}},
+        ],
+        ids=lambda record: record["family"],
+    )
+    def test_two_eigvalsh_calls_per_closed_form_record(self, monkeypatch, record):
+        # One on the stacked matrix and partial transpose, one on the 3x3 Gram.
+        real = np.linalg.eigvalsh
+        shapes = []
+
+        def counting(h):
+            shapes.append(np.shape(h))
+            return real(h)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert full_report(state_from_record(record)).d1_method == "closed_form"
+        assert sorted(shapes) == [(2, 4, 4), (3, 3)]
+
     def test_inconsistent_report_rejected(self):
         with pytest.raises(ValueError):
             MeasureReport(

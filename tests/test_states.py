@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -30,6 +31,15 @@ from qcorr.states import (
     x_state,
 )
 from qcorr.verify import random_density_matrix
+
+from oracle_reference import bell_diagonal_pauli_sum
+
+
+# X states whose blocks have an eigenvalue at PSD_TOL / 2.
+X_AT_PSD_TOLERANCE = [
+    (0.25, 0.25, 0.25, 0.25, 0.25 - 0.5 * PSD_TOL, 0.0),
+    (0.5 * PSD_TOL, 0.5, 0.25, 0.25 - 0.5 * PSD_TOL, 0.0, 0.0),
+]
 
 
 def axis_of(theta, phi):
@@ -139,6 +149,45 @@ class TestDensityMatrixValidation:
         rho = pure_state(0.5)
         with pytest.raises(ValueError):
             rho.mat[0, 0] = 2.0
+
+    def test_stored_pt_spectrum_is_eigvalsh_bit_for_bit(self):
+        rng = np.random.default_rng(311)
+        states = [random_density_matrix(rng, rank) for rank in (1, 2, 3, 4) for _ in range(50)]
+        states += [
+            pure_state(0.6),
+            cq_state(0.3, 0.4, 0.2, (0.1, 0.5, -0.3), (0.0, -0.2, 0.7)),
+            cc_state(ProbTable2x2(0.4, 0.1, 0.2, 0.3), 0.3, 0.5, 0.9, -0.4),
+            x_state(XStateParams(0.3, 0.2, 0.1, 0.4, 0.25, 0.1)),
+            rho_d(0.1, 0.2),
+            rho_theta(0.8),
+            bell_diagonal(0.5, -0.3, 0.2),
+        ]
+        states += [x_state(XStateParams(*params)) for params in X_AT_PSD_TOLERANCE]
+        for rho in states:
+            expected = np.linalg.eigvalsh(partial_transpose(rho)).tolist()
+            assert isinstance(rho.pt_spectrum, tuple)
+            assert [e.hex() for e in rho.pt_spectrum] == [e.hex() for e in expected]
+
+    def test_psd_decision_and_message_are_eigvalsh_s(self):
+        # Spectra whose least eigenvalue straddles PSD_TOL, in random bases.
+        rng = np.random.default_rng(313)
+        decided = set()
+        for _ in range(300):
+            z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            u, _ = np.linalg.qr(z)
+            low = PSD_TOL * rng.uniform(0.98, 1.02)
+            rest = rng.dirichlet(np.ones(3)) * (1.0 - low)
+            m = (u * np.array([low, *rest])) @ u.conj().T
+            m = 0.5 * (m + m.conj().T)
+            smallest = float(np.linalg.eigvalsh(m)[0])
+            rejected = smallest < PSD_TOL
+            decided.add(rejected)
+            if rejected:
+                with pytest.raises(StateError, match=f"eigenvalue {smallest:.3e}$"):
+                    DensityMatrix(m)
+            else:
+                DensityMatrix(m)
+        assert decided == {True, False}
 
 
 class TestPureState:
@@ -268,13 +317,7 @@ class TestXState:
         with pytest.raises(StateError):
             XStateParams(0.25, 0.25, 0.25, 0.25, -0.1, 0.0)
 
-    @pytest.mark.parametrize(
-        "params",
-        [
-            (0.25, 0.25, 0.25, 0.25, 0.25 - 0.5 * PSD_TOL, 0.0),
-            (0.5 * PSD_TOL, 0.5, 0.25, 0.25 - 0.5 * PSD_TOL, 0.0, 0.0),
-        ],
-    )
+    @pytest.mark.parametrize("params", X_AT_PSD_TOLERANCE)
     def test_accepts_blocks_down_to_psd_tolerance(self, params):
         # Eigenvalues down to PSD_TOL pass DensityMatrix, so they must pass here.
         rebuilt = XStateParams.from_density_matrix(x_state(XStateParams(*params)))
@@ -341,6 +384,33 @@ class TestBellDiagonal:
     def test_outside_tetrahedron_rejected(self):
         with pytest.raises(StateError, match="tetrahedron"):
             bell_diagonal(0.9, -0.5, 0.3)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", range(3))
+    def test_rejects_non_finite_coefficient(self, index, value):
+        # A NaN used to pass the tetrahedron check; an inf warned in numpy first.
+        c = [0.1, -0.2, 0.3]
+        c[index] = value
+        with pytest.raises(StateError, match="Bell-diagonal coefficients must be finite"):
+            bell_diagonal(*c)
+
+    def test_matrix_bits_match_the_pauli_sum(self):
+        corners = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 5e-324, -5e-324]
+        points = [c for c in itertools.product(corners, repeat=3)]
+        points += [(1, -1, 1), (-1, 1, 1), (1, 1, -1), (-1, -1, -1), (0, 0, 0)]
+        points += [tuple(np.float64(x) for x in (0.5, -0.3, 0.2))]
+        vertices = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, -1.0]])
+        rng = np.random.default_rng(317)
+        points += [tuple(w @ vertices) for w in rng.dirichlet(np.ones(4), 2000).tolist()]
+        built = 0
+        for c in points:
+            try:
+                rho = bell_diagonal(*c)
+            except StateError:
+                continue
+            assert rho.mat.tobytes() == bell_diagonal_pauli_sum(*c).tobytes(), c
+            built += 1
+        assert built >= 2000
 
     def test_marginals_maximally_mixed(self):
         rho = bell_diagonal(0.5, -0.3, 0.2)
@@ -447,3 +517,10 @@ class TestXPattern:
         m = np.eye(4, dtype=complex) / 4
         m[0, 1] = m[1, 0] = 1e-6
         assert not is_x_shaped(m)
+        assert not is_x_shaped(m.tolist())
+        assert is_x_shaped(m.tolist(), 1e-5)
+
+    def test_nan_entry_is_not_x_shaped(self):
+        m = np.eye(4, dtype=complex) / 4
+        m[3, 1] = np.nan
+        assert not is_x_shaped(m) and not is_x_shaped(m.tolist())
