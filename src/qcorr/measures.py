@@ -86,6 +86,20 @@ def covariance_matrix(rho: DensityMatrix) -> np.ndarray:
     return _covariance(_pauli_coefficients(_state(rho)))
 
 
+def _singular_values(q) -> list[float]:
+    # singular_values_3 as a descending list of Python floats.
+    q = np.asarray(q, dtype=float)
+    if q.shape != (3, 3):
+        raise DimensionError(f"expected a 3x3 real matrix, got shape {q.shape}")
+    if np.count_nonzero(np.isfinite(q)) < 9:
+        raise StateError("matrix has non-finite entries")
+    low, mid, top = np.linalg.eigvalsh(q.T @ q).tolist()
+    if low < -1e-14:
+        raise StateError(f"Gram eigenvalue {low:.3e} is negative beyond roundoff")
+    # Clamped as np.maximum(gram, 0.0) clamps: -0.0 becomes +0.0 and a NaN stays.
+    return [0.0 if g <= 0.0 else math.sqrt(g) for g in (top, mid, low)]
+
+
 def singular_values_3(q) -> np.ndarray:
     """Singular values of a real 3x3 matrix, descending.
 
@@ -94,23 +108,12 @@ def singular_values_3(q) -> np.ndarray:
     non-finite entry of ``q``, raises :class:`StateError`: ``q`` is a state's
     covariance matrix, and no valid state gives one.
     """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (3, 3):
-        raise DimensionError(f"expected a 3x3 real matrix, got shape {q.shape}")
-    if np.count_nonzero(np.isfinite(q)) < 9:
-        raise StateError("matrix has non-finite entries")
-    gram = np.linalg.eigvalsh(q.T @ q)[::-1]
-    if gram[-1] < -1e-14:
-        raise StateError(
-            f"Gram eigenvalue {gram[-1]:.3e} is negative beyond roundoff"
-        )
-    # Clamped as np.clip does: gram first, so a -0.0 becomes +0.0.
-    return np.sqrt(np.maximum(gram, 0.0))
+    return np.array(_singular_values(q))
 
 
 def mmc(rho: DensityMatrix) -> float:
     """Maximal mutual correlation: the largest singular value of Q."""
-    return float(singular_values_3(covariance_matrix(rho))[0])
+    return _singular_values(covariance_matrix(rho))[0]
 
 
 def _distance_from_singular_values(t: list[float]) -> float:
@@ -125,7 +128,7 @@ def correlation_distance(rho: DensityMatrix) -> float:
 
     Evaluates to t1 when t1 >= t2 + t3 and to (t1 + t2 + t3) / 2 otherwise.
     """
-    return _distance_from_singular_values(singular_values_3(covariance_matrix(rho)).tolist())
+    return _distance_from_singular_values(_singular_values(covariance_matrix(rho)))
 
 
 def negativity(rho: DensityMatrix) -> float:
@@ -211,9 +214,10 @@ def _frame_rows(t, h):
     ]
 
 
-def _local_x_d1(r: np.ndarray) -> float | None:
+def _local_x_d1(rows: list) -> float | None:
     """d1 of R = [a | T] by the X-state closed form, or None if R is not X-shaped up to rotations.
 
+    ``rows`` holds R's rows as Python floats (``ndarray.tolist()``).
     Rotations on A and B bring R to X form, a = (0, 0, x) and T diagonal,
     exactly when a = 0 or a is an eigenvector of T T^T; d1 does not change
     under them.  With |a| <= tol = ``X_PATTERN_TOL``, d1 is the middle
@@ -234,12 +238,11 @@ def _local_x_d1(r: np.ndarray) -> float | None:
     tol |R| <= sqrt(3) tol of the exact d1, beside rounding; the a = 0 branch
     is within |a| <= tol.  Any other R returns None.
     """
-    rows = r.tolist()
     a = [row[0] for row in rows]
     t = [row[1:] for row in rows]
     x2 = _dot(a, a)
     if x2 <= X_PATTERN_TOL * X_PATTERN_TOL:
-        return float(np.linalg.svd(r[:, 1:], compute_uv=False)[1])
+        return float(np.linalg.svd(t, compute_uv=False)[1])
     norm = math.sqrt(x2)
     unit = [v / norm for v in a]
     budget = X_PATTERN_TOL * math.sqrt(x2 + _dot(t[0], t[0]) + _dot(t[1], t[1]) + _dot(t[2], t[2]))
@@ -308,7 +311,8 @@ def full_report(rho: DensityMatrix) -> MeasureReport:
     """
     # One matrix of Pauli coefficients gives Q, a, b and R = C[1:].
     c = _pauli_coefficients(_state(rho))
-    t = singular_values_3(_covariance(c)).tolist()
+    t = _singular_values(_covariance(c))
+    b_row, *r_rows = c.tolist()
     rows = rho.mat.tolist()
     if is_x_shaped(rows, X_PATTERN_TOL):
         # The entries XStateParams.from_density_matrix reads, without validating rho again.
@@ -316,9 +320,9 @@ def full_report(rho: DensityMatrix) -> MeasureReport:
         d1 = _x_entries_d1(m00.real, m11.real, m22.real, abs(m03), abs(m12))
         method = "closed_form"
     else:
-        r = c[1:]
-        d1, method = _local_x_d1(r), "closed_form"
+        d1, method = _local_x_d1(r_rows), "closed_form"
         if d1 is None:
+            r = c[1:]
             d1, method = min(_d1_search(r), _eigen_axes_min(r)), "oracle"
     return MeasureReport(
         mmc=t[0],
@@ -327,6 +331,6 @@ def full_report(rho: DensityMatrix) -> MeasureReport:
         d1=float(d1),
         d1_method=method,
         singular_values=tuple(t),
-        bloch_a=tuple(c[1:, 0].tolist()),
-        bloch_b=tuple(c[0, 1:].tolist()),
+        bloch_a=tuple(row[0] for row in r_rows),
+        bloch_b=tuple(b_row[1:]),
     )

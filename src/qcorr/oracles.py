@@ -65,10 +65,10 @@ class SearchConfig:
 
     def __post_init__(self):
         nt, nph = self.coarse_grid
-        if nt < 32 or nph < 64:
-            raise ValueError(f"coarse grid must be at least 32x64, got {nt}x{nph}")
-        if self.refine_iters < 20:
-            raise ValueError(f"refine_iters must be at least 20, got {self.refine_iters}")
+        if not (32 <= nt <= 1024 and 64 <= nph <= 2048):
+            raise ValueError(f"coarse grid must lie between 32x64 and 1024x2048, got {nt}x{nph}")
+        if not 20 <= self.refine_iters <= 10_000:
+            raise ValueError(f"refine_iters must lie in [20, 10000], got {self.refine_iters}")
 
 
 DEFAULT_SEARCH = SearchConfig()

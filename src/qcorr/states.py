@@ -60,30 +60,26 @@ def _as_bloch(vec, what: str = "Bloch vector") -> np.ndarray:
     return v
 
 
-def projector_pair(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
+def projector_pair(theta: float, phi: float) -> np.ndarray:
     """Orthogonal rank-1 projectors along the axis with polar angle 2*theta, azimuth phi.
 
-    P1 + P2 = I, P1 P2 = 0, and P1[0, 0] = cos(theta)^2.
+    Returned stacked, shape (2, 2, 2), so ``p1, p2 = projector_pair(...)``
+    unpacks them.  P1 + P2 = I, P1 P2 = 0, and P1[0, 0] = cos(theta)^2.
     """
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise StateError(f"projector angles must be finite, got ({theta}, {phi})")
     ct2 = math.cos(theta) ** 2
     st2 = math.sin(theta) ** 2
     off = 0.5 * math.sin(2.0 * theta) * cmath.exp(-1j * phi)
-    p1 = np.array([[ct2, off], [off.conjugate(), st2]], dtype=complex)
-    p2 = np.array([[st2, -off], [-off.conjugate(), ct2]], dtype=complex)
-    return p1, p2
-
-
-def _kron2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # np.kron of two 2x2 matrices, the same products without np.kron's overhead.
-    return (x[:, None, :, None] * y[None, :, None, :]).reshape(4, 4)
+    return np.array([[[ct2, off], [off.conjugate(), st2]], [[st2, -off], [-off.conjugate(), ct2]]])
 
 
 def qubit_state(a) -> np.ndarray:
     """Single-qubit state (I + a . sigma) / 2 for a Bloch vector a with |a| <= 1."""
-    a = _as_bloch(a)
-    return 0.5 * (_EYE2 + np.einsum("k,kij->ij", a, _SIGMA))
+    x, y, z = _as_bloch(a).tolist()
+    # The bits of 0.5 * (I + einsum(a, sigma)): adding to the identity's 1.0 or +0.0 leaves no -0.0.
+    re, im, im_conj = 0.5 * (0.0 + x), 0.5 * (0.0 + y), 0.5 * (0.0 - y)
+    return np.array([[0.5 * (1.0 + z), complex(re, im_conj)], [complex(re, im), 0.5 * (1.0 - z)]])
 
 
 class DensityMatrix:
@@ -91,10 +87,13 @@ class DensityMatrix:
 
     Construction rejects (rather than repairs) anything that is not Hermitian
     within 1e-12, unit trace within 1e-12, and positive semidefinite down to
-    eigenvalue -1e-10.  Validation computes the spectra of the matrix and of
-    its partial transpose on B in one ``eigvalsh`` call on the two stacked;
-    the second is kept as ``pt_spectrum``, a tuple of four floats in
-    ascending order, which :func:`qcorr.measures.negativity` reads.
+    eigenvalue -1e-10.  The Hermiticity deviation is taken on Python complex
+    numbers; above half the tolerance ``np.abs(m - m.conj().T).max()``
+    recomputes it, decides and is reported, as Python's ``abs`` may differ
+    from numpy's in the last bit.  Validation computes the spectra of the
+    matrix and of its partial transpose on B in one ``eigvalsh`` call on the
+    two stacked; the second is kept as ``pt_spectrum``, a tuple of four floats
+    in ascending order, which :func:`qcorr.measures.negativity` reads.
     """
 
     __slots__ = ("mat", "pt_spectrum")
@@ -105,12 +104,19 @@ class DensityMatrix:
             raise StateError(f"density matrix must be 4x4, got shape {m.shape}")
         if np.count_nonzero(np.isfinite(m)) < 16:  # cheaper than .all() on a 4x4
             raise StateError("density matrix has non-finite entries")
-        herm_dev = float(np.abs(m - m.conj().T).max())
-        if herm_dev > HERMITICITY_TOL:
-            raise StateError(
-                f"density matrix is not Hermitian: max deviation {herm_dev:.3e}"
+        (d0, m01, m02, m03), (m10, d1, m12, m13), (m20, m21, d2, m23), (m30, m31, m32, d3) = m.tolist()
+        try:
+            herm_dev = max(
+                abs(m01 - m10.conjugate()), abs(m02 - m20.conjugate()), abs(m03 - m30.conjugate()),
+                abs(m12 - m21.conjugate()), abs(m13 - m31.conjugate()), abs(m23 - m32.conjugate()),
+                2.0 * abs(d0.imag), 2.0 * abs(d1.imag), 2.0 * abs(d2.imag), 2.0 * abs(d3.imag),
             )
-        d0, d1, d2, d3 = m.diagonal().tolist()
+        except OverflowError:  # Python's complex abs raises where numpy's reads inf
+            herm_dev = math.inf
+        if herm_dev > 0.5 * HERMITICITY_TOL:
+            herm_dev = float(np.abs(m - m.conj().T).max())
+            if herm_dev > HERMITICITY_TOL:
+                raise StateError(f"density matrix is not Hermitian: max deviation {herm_dev:.3e}")
         tr = (d0 + d1) + (d2 + d3)  # paired as m.trace() pairs them
         if abs(tr - 1.0) > TRACE_TOL:
             raise StateError(f"density matrix trace {tr:.15g} differs from 1")
@@ -238,11 +244,8 @@ def pure_state(n: float) -> DensityMatrix:
     if not 0.0 <= n <= 1.0:
         raise StateError(f"pure-state parameter must lie in [0, 1], got {n}")
     c = math.sqrt(1.0 - n * n)
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = (1.0 + c) / 2.0
-    m[3, 3] = (1.0 - c) / 2.0
-    m[0, 3] = m[3, 0] = n / 2.0
-    return DensityMatrix(m)
+    h, zero = n / 2.0, [0.0] * 4
+    return DensityMatrix([[(1.0 + c) / 2.0, 0.0, 0.0, h], zero, zero, [h, 0.0, 0.0, (1.0 - c) / 2.0]])
 
 
 def cq_state(p1: float, theta: float, phi: float, a1, a2) -> DensityMatrix:
@@ -253,9 +256,11 @@ def cq_state(p1: float, theta: float, phi: float, a1, a2) -> DensityMatrix:
     """
     if not 0.0 <= p1 <= 1.0:
         raise StateError(f"probability p1 must lie in [0, 1], got {p1}")
-    proj1, proj2 = projector_pair(theta, phi)
-    m = p1 * _kron2(proj1, qubit_state(a1)) + (1.0 - p1) * _kron2(proj2, qubit_state(a2))
-    return DensityMatrix(m)
+    pa = projector_pair(theta, phi)
+    qb = np.array([qubit_state(a1), qubit_state(a2)])
+    k1, k2 = (pa[:, :, None, :, None] * qb[:, None, :, None, :]).reshape(2, 4, 4)
+    # Scalar weights: multiplying by a weight array signs some zeros otherwise.
+    return DensityMatrix(p1 * k1 + (1.0 - p1) * k2)
 
 
 def cc_state(
@@ -275,24 +280,18 @@ def cc_state(
         phi_b = phi_a
     pa = projector_pair(theta_a, phi_a)
     pb = projector_pair(theta_b, phi_b)
-    table = ((p.p11, p.p12), (p.p21, p.p22))
-    m = np.zeros((4, 4), dtype=complex)
-    for j in range(2):
-        for k in range(2):
-            m += table[j][k] * _kron2(pa[j], pb[k])
-    return DensityMatrix(m)
+    # The four P_j (x) P_k in one broadcast multiply, in the order of the table.
+    kron = (pa[:, None, :, None, :, None] * pb[None, :, None, :, None, :]).reshape(4, 4, 4)
+    weights = np.array([p.p11, p.p12, p.p21, p.p22])
+    # Summed in turn onto +0.0, the order and start that set the signed zeros.
+    return DensityMatrix(np.add.reduce(weights[:, None, None] * kron, axis=0, initial=0.0))
 
 
 def x_state(params: XStateParams) -> DensityMatrix:
     """Density matrix with the X sparsity pattern described by ``params``."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = params.rho11
-    m[1, 1] = params.rho22
-    m[2, 2] = params.rho33
-    m[3, 3] = params.rho44
-    m[0, 3] = m[3, 0] = params.rho14
-    m[1, 2] = m[2, 1] = params.rho23
-    return DensityMatrix(m)
+    p = params
+    return DensityMatrix([[p.rho11, 0.0, 0.0, p.rho14], [0.0, p.rho22, p.rho23, 0.0],
+                          [0.0, p.rho23, p.rho33, 0.0], [p.rho14, 0.0, 0.0, p.rho44]])
 
 
 def rho_d_smax(w: float) -> float:
@@ -312,24 +311,17 @@ def rho_d(w: float, s: float) -> DensityMatrix:
     smax = rho_d_smax(w)
     if not 0.0 < s <= smax + 1e-12:
         raise StateError(f"parameter s must lie in (0, {smax:.12g}], got {s}")
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = m[1, 1] = w
-    m[2, 2] = m[3, 3] = 0.5 - w
-    for i in range(4):
-        m[i, 3 - i] = s
-    return DensityMatrix(m)
+    v = 0.5 - w
+    return DensityMatrix([[w, 0.0, 0.0, s], [0.0, w, s, 0.0], [0.0, s, v, 0.0], [s, 0.0, 0.0, v]])
 
 
 def rho_theta(theta: float) -> DensityMatrix:
     """One-parameter entangled X family on theta in (0, pi/2)."""
     if not 0.0 < theta < math.pi / 2.0:
         raise StateError(f"theta must lie in (0, pi/2), got {theta}")
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = 0.5 * math.cos(theta) ** 2
-    m[2, 2] = 0.5
-    m[3, 3] = 0.5 * math.sin(theta) ** 2
-    m[0, 3] = m[3, 0] = 0.25 * math.sin(2.0 * theta)
-    return DensityMatrix(m)
+    top, bottom = 0.5 * math.cos(theta) ** 2, 0.5 * math.sin(theta) ** 2
+    off = 0.25 * math.sin(2.0 * theta)
+    return DensityMatrix([[top, 0.0, 0.0, off], [0.0] * 4, [0.0, 0.0, 0.5, 0.0], [off, 0.0, 0.0, bottom]])
 
 
 def bell_diagonal(c1: float, c2: float, c3: float) -> DensityMatrix:

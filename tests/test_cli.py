@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from qcorr import cli, measures
+from qcorr import cli, measures, verify
 from qcorr.stateio import report_to_record, state_from_record
 from qcorr.verify import VerifyResult, near_werner_params
 
@@ -470,3 +470,13 @@ class TestVerify:
     def test_undersized_grid_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--filter", "rho_d.spot", "--grid", "8x8")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags", [["--grid", "100000x100000"], ["--grid", "64x2049"], ["--refine", "10001"]]
+    )
+    def test_oversized_search_exit_2_before_any_check(self, capsys, monkeypatch, flags):
+        # The bound is checked before any group runs, so no check may start.
+        monkeypatch.setattr(verify, "ALL_CHECKS", [("boom", lambda overrides: pytest.fail("ran"))])
+        code, out, err = run_cli(capsys, "verify", *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and ("1024x2048" in err or "10000" in err)

@@ -26,6 +26,7 @@ from qcorr.states import (
     XStateParams,
     bell_diagonal,
     cc_state,
+    correlation_tensor,
     cq_state,
     is_x_shaped,
     partial_trace,
@@ -114,6 +115,12 @@ class TestSingularValues3:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: np.array([-1e-15, -0.0, 1.0]))
         got = singular_values_3(np.eye(3))
         assert got.tolist() == [1.0, 0.0, 0.0] and not np.signbit(got).any()
+
+    def test_clamp_keeps_a_nan(self, monkeypatch):
+        # A Gram matrix that overflowed gives NaNs, which must not read as zeros.
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: np.array([np.nan, 0.25, 1.0]))
+        got = singular_values_3(np.eye(3))
+        assert got[:2].tolist() == [1.0, 0.5] and math.isnan(got[2])
 
     def test_transpose_invariance(self):
         # generic random matrices; the Gram-based route loses the 1e-10
@@ -593,6 +600,23 @@ LOCAL_X_CASES = [
 NEAR_MISS = XStateParams(0.35, 0.25, 0.15, 0.25, 0.12, 0.05)
 
 
+def _a_zero_state(rng) -> DensityMatrix:
+    """(I + I (x) b.sigma + sum_ij T_ij sigma_i (x) sigma_j) / 4: A's Bloch vector is 0.
+
+    With |b| + t1 + t2 + t3 <= 1 it is a state: each term's spectrum lies in
+    [-weight, weight].  b != 0 and rotated T keep it off the X pattern.
+    """
+    weights = rng.dirichlet(np.ones(5))[:4]
+    direction = rng.standard_normal(3)
+    b = weights[0] * direction / np.linalg.norm(direction)
+    u, v = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
+    t = u @ np.diag(weights[1:]) @ v.T
+    eye2 = np.eye(2)
+    m = np.eye(4) + sum(b[j] * np.kron(eye2, pauli(j + 1)) for j in range(3))
+    m = m + sum(t[i, j] * np.kron(pauli(i + 1), pauli(j + 1)) for i in range(3) for j in range(3))
+    return DensityMatrix(m / 4)
+
+
 class TestLocalXRoute:
     @pytest.mark.parametrize("rho, known", LOCAL_X_CASES)
     def test_known_values(self, rho, known):
@@ -602,7 +626,7 @@ class TestLocalXRoute:
             rho = x_state(rho)
         rng = np.random.default_rng(101)
         for state in (rho, locally_rotated(rho, rng), locally_rotated(rho, rng)):
-            d1 = _local_x_d1(bloch_matrix(state))
+            d1 = _local_x_d1(bloch_matrix(state).tolist())
             assert d1 is not None and abs(d1 - known) <= CLOSED_TOL
             if not is_x_shaped(state.mat):
                 rep = full_report(state)
@@ -618,20 +642,9 @@ class TestLocalXRoute:
         assert abs(rep.d1 - fine) <= (CLOSED_TOL if method == "closed_form" else ORACLE_TOL)
 
     def test_a_zero_states_against_the_fine_oracle(self):
-        # (I + I (x) b.sigma + sum_ij T_ij sigma_i (x) sigma_j) / 4 with
-        # |b| + t1 + t2 + t3 <= 1 is a state: each term's spectrum lies in
-        # [-weight, weight].  b != 0 and rotated T keep it off the X pattern.
         rng = np.random.default_rng(109)
-        eye2 = np.eye(2)
         for _ in range(20):
-            weights = rng.dirichlet(np.ones(5))[:4]
-            direction = rng.standard_normal(3)
-            b = weights[0] * direction / np.linalg.norm(direction)
-            u, v = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
-            t = u @ np.diag(weights[1:]) @ v.T
-            m = np.eye(4) + sum(b[j] * np.kron(eye2, pauli(j + 1)) for j in range(3))
-            m = m + sum(t[i, j] * np.kron(pauli(i + 1), pauli(j + 1)) for i in range(3) for j in range(3))
-            rho = DensityMatrix(m / 4)
+            rho = _a_zero_state(rng)
             assert not is_x_shaped(rho.mat)
             rep = full_report(rho)
             oracle = d1_oracle(rho, FINE)
@@ -642,7 +655,7 @@ class TestLocalXRoute:
         rng = np.random.default_rng(107)
         for _ in range(1000):
             rho = random_density_matrix(rng, components=int(rng.integers(2, 7)))
-            assert _local_x_d1(bloch_matrix(rho)) is None
+            assert _local_x_d1(bloch_matrix(rho).tolist()) is None
 
 
 class TestPartialTransposeInvariance:
@@ -688,3 +701,73 @@ class TestSwapSymmetry:
         assert mmc(swapped) == pytest.approx(mmc(rho), abs=1e-10)
         assert correlation_distance(swapped) == pytest.approx(correlation_distance(rho), abs=1e-10)
         assert negativity(swapped) == pytest.approx(negativity(rho), abs=1e-10)
+
+
+def _isometry(rng) -> np.ndarray:
+    # A Stinespring isometry C^2 -> C^2 (x) C^2, output qubit first: the Q of a
+    # complex Gaussian 4x2 matrix, so its two columns are orthonormal.
+    return np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))[0]
+
+
+def _channel(rho: DensityMatrix, v: np.ndarray, side: str) -> DensityMatrix:
+    """The channel with isometry ``v`` applied to subsystem ``side``, the environment traced out."""
+    kraus = v.reshape(2, 2, 2).transpose(1, 0, 2)  # K_e = (I (x) <e|) v
+    eye = np.eye(2)
+    ops = [np.kron(k, eye) if side == "A" else np.kron(eye, k) for k in kraus]
+    out = sum(op @ rho.mat @ op.conj().T for op in ops)
+    return DensityMatrix(0.5 * (out + out.conj().T))
+
+
+class TestLocalChannels:
+    """Monotonicity under a local channel (a CPTP map on one qubit)."""
+
+    def test_isometry_gives_a_trace_preserving_channel(self):
+        v = _isometry(np.random.default_rng(113))
+        kraus = v.reshape(2, 2, 2).transpose(1, 0, 2)
+        assert np.abs(sum(k.conj().T @ k for k in kraus) - np.eye(2)).max() <= 1e-14
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_mmc_distance_negativity_do_not_rise(self, side):
+        # A channel maps Q to M_A Q M_B^T with ||M|| <= 1, the trace norm
+        # contracts, and negativity does not rise under local operations.
+        rng = np.random.default_rng(127 if side == "A" else 131)
+        for _ in range(100):
+            rho = random_density_matrix(rng)
+            before, after = full_report(rho), full_report(_channel(rho, _isometry(rng), side))
+            assert after.mmc <= before.mmc + CLOSED_TOL
+            assert after.correlation_distance <= before.correlation_distance + CLOSED_TOL
+            assert after.negativity <= before.negativity + CLOSED_TOL
+
+    def test_d1_does_not_rise_under_a_channel_on_b(self):
+        # The measurement on A commutes with a channel on B, and the trace norm contracts.
+        rng = np.random.default_rng(137)
+        for _ in range(60):
+            rho = random_density_matrix(rng)
+            after = full_report(_channel(rho, _isometry(rng), "B"))
+            assert after.d1 <= full_report(rho).d1 + ORACLE_TOL
+
+    def test_a_channel_on_a_can_raise_d1(self):
+        # (|00><00| + |1+><1+|) / 2 is classical on A.  Measuring A in the z
+        # basis and preparing |0> or |+> (v|0> = |00>, v|1> = |+>|1>) gives
+        # (|00><00| + |++><++|) / 2, whose d1 on A is 1/2.
+        zero, one, plus = np.eye(2)[0], np.eye(2)[1], np.array([1.0, 1.0]) / math.sqrt(2.0)
+
+        def proj(x, y):
+            return np.outer(np.kron(x, y), np.kron(x, y))
+
+        rho = DensityMatrix(0.5 * (proj(zero, zero) + proj(one, plus)))
+        v = np.column_stack([np.kron(zero, zero), np.kron(plus, one)])
+        before, after = full_report(rho), full_report(_channel(rho, v, "A"))
+        assert before.d1 <= CLOSED_TOL
+        assert abs(after.d1 - 0.5) <= CLOSED_TOL
+
+
+def test_d1_at_most_mmc_when_a_vanishes():
+    # With a = 0, Q = T: mmc is t1(T) and d1 the middle singular value t2(T).
+    rng = np.random.default_rng(139)
+    for _ in range(200):
+        rho = _a_zero_state(rng)
+        t = np.linalg.svd(correlation_tensor(rho), compute_uv=False)
+        rep = full_report(rho)
+        assert abs(rep.mmc - t[0]) <= CLOSED_TOL and abs(rep.d1 - t[1]) <= CLOSED_TOL
+        assert rep.d1 <= rep.mmc + CLOSED_TOL

@@ -50,6 +50,21 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(refine_iters=10)
 
+    @pytest.mark.parametrize("grid", [(1025, 128), (64, 2049), (100_000, 100_000)])
+    def test_grid_ceiling(self, grid):
+        # Rejected on construction, before any array of that size exists.
+        with pytest.raises(ValueError, match="1024x2048"):
+            SearchConfig(coarse_grid=grid)
+
+    def test_refine_ceiling(self):
+        with pytest.raises(ValueError, match="10000"):
+            SearchConfig(refine_iters=10_001)
+
+    def test_bounds_are_inclusive(self):
+        # Only constructed: nothing is searched at these sizes.
+        assert SearchConfig(coarse_grid=(1024, 2048), refine_iters=10_000).refine_iters == 10_000
+        assert SearchConfig(coarse_grid=(32, 64), refine_iters=20).coarse_grid == (32, 64)
+
 
 class TestMeasurementMap:
     def test_diagonal_state_fixed_by_z_measurement(self):

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 
@@ -8,6 +9,7 @@ from qcorr.errors import StateError
 from qcorr.states import (
     _PAULI,
     _pauli_coefficients,
+    HERMITICITY_TOL,
     PSD_TOL,
     TRACE_TOL,
     DensityMatrix,
@@ -30,9 +32,18 @@ from qcorr.states import (
     rho_theta,
     x_state,
 )
-from qcorr.verify import random_density_matrix
+from qcorr.verify import random_bloch_vector, random_density_matrix, random_x_params
 
-from oracle_reference import bell_diagonal_pauli_sum
+from oracle_reference import (
+    bell_diagonal_pauli_sum,
+    cc_state_kron,
+    cq_state_kron,
+    pure_state_zeros,
+    qubit_state_einsum,
+    rho_d_zeros,
+    rho_theta_zeros,
+    x_state_zeros,
+)
 
 
 # X states whose blocks have an eigenvalue at PSD_TOL / 2.
@@ -167,6 +178,45 @@ class TestDensityMatrixValidation:
             expected = np.linalg.eigvalsh(partial_transpose(rho)).tolist()
             assert isinstance(rho.pt_spectrum, tuple)
             assert [e.hex() for e in rho.pt_spectrum] == [e.hex() for e in expected]
+
+    def test_hermiticity_decision_and_message_are_numpy_s(self):
+        # Deviations within 8 ulps of HERMITICITY_TOL at random phases: Python's
+        # abs, which validation tries first, may differ from numpy's in the
+        # last bit, and numpy's must still decide and be reported.
+        rng = np.random.default_rng(331)
+        decided = set()
+        ulp = math.ulp(HERMITICITY_TOL)
+        for _ in range(2000):
+            m = np.eye(4, dtype=complex) / 4
+            i, j = (int(k) for k in rng.integers(0, 4, 2))
+            size = HERMITICITY_TOL + int(rng.integers(-8, 9)) * ulp
+            if i == j:
+                m[i, i] += 0.5j * size * rng.choice([-1.0, 1.0])  # deviation 2 |Im m_ii|
+            else:
+                m[i, j] = size * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            expected = float(np.abs(m - m.conj().T).max())
+            rejected = expected > HERMITICITY_TOL
+            decided.add(rejected)
+            if rejected:
+                with pytest.raises(StateError, match=f"max deviation {expected:.3e}$"):
+                    DensityMatrix(m)
+            else:
+                DensityMatrix(m)
+        assert decided == {True, False}
+
+    def test_overflowing_deviation_is_not_hermitian(self):
+        # Each part of m01 - conj(m10) is finite, its modulus is not.
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = 1.5e308 + 1.5e308j
+        with pytest.raises(StateError, match="not Hermitian: max deviation inf"):
+            DensityMatrix(m)
+
+    def test_diagonal_imaginary_parts_fail_the_complex_trace(self):
+        # Each diagonal entry deviates by 2 * 4e-13, within HERMITICITY_TOL;
+        # their imaginary parts sum to 1.6e-12, beyond TRACE_TOL.
+        DensityMatrix(np.eye(4) / 4 + 2e-13j * np.eye(4))
+        with pytest.raises(StateError, match="trace"):
+            DensityMatrix(np.eye(4) / 4 + 4e-13j * np.eye(4))
 
     def test_psd_decision_and_message_are_eigvalsh_s(self):
         # Spectra whose least eigenvalue straddles PSD_TOL, in random bases.
@@ -416,6 +466,100 @@ class TestBellDiagonal:
         rho = bell_diagonal(0.5, -0.3, 0.2)
         assert np.allclose(partial_trace(rho, "A"), np.eye(2) / 2, atol=1e-14)
         assert np.allclose(partial_trace(rho, "B"), np.eye(2) / 2, atol=1e-14)
+
+
+# Signed zeros, the least subnormal and the range ends, where a rewrite of the
+# constructors' arithmetic would first show a different bit.
+_SIGNED = [0.0, -0.0, 5e-324, -5e-324]
+_BLOCH_CORNERS = [
+    (0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0),
+    (5e-324, -5e-324, 0.0), (1.0, 0.0, 0.0), (0.0, -1.0, 0.0),
+]
+_ANGLE_CORNERS = [0.0, -0.0, math.pi / 2]
+_TABLE_CORNERS = [
+    (1.0, 0.0, 0.0, 0.0), (0.0, -0.0, 0.0, 1.0), (0.5, 0.0, 0.5, -0.0),
+    (1.0, 5e-324, -0.0, 0.0), (0.25, 0.25, 0.25, 0.25),
+]
+
+
+def _qubit_points(rng):
+    points = list(itertools.product(_SIGNED + [1.0, -1.0, 0.5, -0.5], repeat=3))
+    return [(p,) for p in points] + [(random_bloch_vector(rng).tolist(),) for _ in range(2000)]
+
+
+def _cq_points(rng):
+    points = [
+        (p1, theta, phi, a1, a2)
+        for p1 in (0.0, -0.0, 1.0, 5e-324, 0.5)
+        for theta, phi in itertools.product(_ANGLE_CORNERS, repeat=2)
+        for a1, a2 in itertools.product(_BLOCH_CORNERS, repeat=2)
+    ]
+    for _ in range(2000):
+        p1, (theta, phi) = rng.random(), rng.uniform(-4.0, 4.0, 2).tolist()
+        points.append((p1, theta, phi, random_bloch_vector(rng).tolist(), random_bloch_vector(rng).tolist()))
+    return points
+
+
+def _cc_points(rng):
+    corners = itertools.product(_TABLE_CORNERS, itertools.product(_ANGLE_CORNERS, repeat=4))
+    points = [(ProbTable2x2(*t), *angles) for t, angles in corners]
+    for _ in range(2000):
+        table = ProbTable2x2(*rng.dirichlet(np.ones(4)).tolist())
+        points.append((table, *rng.uniform(-4.0, 4.0, 4).tolist()))
+    return points
+
+
+def _pure_points(rng):
+    return [(n,) for n in [0.0, -0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0, *rng.random(2000).tolist()]]
+
+
+def _x_points(rng):
+    points = [
+        (1.0, 0.0, -0.0, 0.0, -0.0, 0.0),
+        (0.5, 5e-324, 0.0, 0.5, 0.5, 0.0),
+        (-0.0, 0.5, 0.5, 0.0, 0.0, 0.5),
+        (0.25, 0.25, 0.25, 0.25, 5e-324, 0.25),
+        *X_AT_PSD_TOLERANCE,
+    ]
+    return [(XStateParams(*p),) for p in points] + [(random_x_params(rng),) for _ in range(2000)]
+
+
+def _rho_d_points(rng):
+    points = [(w, s) for w in (5e-324, 0.1, 0.25, 0.5 - 2.0**-54) for s in (5e-324, rho_d_smax(w))]
+    for w in rng.uniform(0.0, 0.5, 2000).tolist():
+        points.append((w, rng.uniform(0.0, 1.0) * rho_d_smax(w)))
+    return points
+
+
+def _rho_theta_points(rng):
+    points = [(5e-324,), (math.pi / 4,), (math.nextafter(math.pi / 2, 0.0),)]
+    return points + [(t,) for t in rng.uniform(0.0, math.pi / 2, 2000).tolist()]
+
+
+CONSTRUCTOR_FORMS = [
+    pytest.param(qubit_state, qubit_state_einsum, _qubit_points, id="qubit_state"),
+    pytest.param(lambda *a: cq_state(*a).mat, cq_state_kron, _cq_points, id="cq_state"),
+    pytest.param(lambda *a: cc_state(*a).mat, cc_state_kron, _cc_points, id="cc_state"),
+    pytest.param(lambda n: pure_state(n).mat, pure_state_zeros, _pure_points, id="pure_state"),
+    pytest.param(lambda p: x_state(p).mat, x_state_zeros, _x_points, id="x_state"),
+    pytest.param(lambda w, s: rho_d(w, s).mat, rho_d_zeros, _rho_d_points, id="rho_d"),
+    pytest.param(lambda t: rho_theta(t).mat, rho_theta_zeros, _rho_theta_points, id="rho_theta"),
+]
+
+
+@pytest.mark.parametrize("construct, reference, points", CONSTRUCTOR_FORMS)
+def test_constructor_bits_match_the_numpy_form(construct, reference, points):
+    # Each constructor must give its numpy form's bytes, signed zeros and
+    # subnormals included.
+    built = 0
+    for args in points(np.random.default_rng(337)):
+        try:
+            got = construct(*args)
+        except StateError:
+            continue
+        assert got.tobytes() == reference(*args).tobytes(), args
+        built += 1
+    assert built >= 2000
 
 
 class TestPartialTrace:
