@@ -1,4 +1,4 @@
-"""Two-qubit density matrices, Pauli/Bloch machinery, and the named state families.
+"""Two-qubit density matrices, Pauli/Bloch machinery, the disturbance kernel, and the named state families.
 
 Conventions: computational basis ordered |00>, |01>, |10>, |11> with subsystem
 A as the first tensor factor, so A-side observables are sigma_i (x) I and
@@ -137,6 +137,13 @@ def _as_mat(rho) -> np.ndarray:
     if isinstance(rho, DensityMatrix):
         return rho.mat
     return np.asarray(rho, dtype=complex)
+
+
+def _density_matrix(rho) -> DensityMatrix:
+    # The measures and the oracles are defined on validated states only; a raw array could hold anything.
+    if not isinstance(rho, DensityMatrix):
+        raise StateError(f"expected a DensityMatrix, got {type(rho).__name__}")
+    return rho
 
 
 @dataclass(frozen=True)
@@ -295,7 +302,9 @@ def x_state(params: XStateParams) -> DensityMatrix:
 
 
 def rho_d_smax(w: float) -> float:
-    """Largest admissible anti-diagonal entry for the discordant separable family."""
+    """Largest admissible anti-diagonal entry for the discordant separable family, for w in (0, 1/2)."""
+    if not 0.0 < w < 0.5:
+        raise StateError(f"parameter w must lie in (0, 1/2), got {w}")
     return math.sqrt(w / 2.0 - w * w)
 
 
@@ -306,8 +315,6 @@ def rho_d(w: float, s: float) -> DensityMatrix:
     0 < s <= sqrt(w/2 - w^2); at the upper bound the state sits on the
     separability boundary with a zero eigenvalue of the partial transpose.
     """
-    if not 0.0 < w < 0.5:
-        raise StateError(f"parameter w must lie in (0, 1/2), got {w}")
     smax = rho_d_smax(w)
     if not 0.0 < s <= smax + 1e-12:
         raise StateError(f"parameter s must lie in (0, {smax:.12g}], got {s}")
@@ -392,3 +399,55 @@ def bloch_vectors(rho) -> tuple[np.ndarray, np.ndarray]:
 def correlation_tensor(rho) -> np.ndarray:
     """3x3 matrix of raw correlations T_ij = tr(rho sigma_i (x) sigma_j); ``rho`` as in :func:`bloch_vectors`."""
     return _pauli_coefficients(rho)[1:, 1:]
+
+
+def bloch_matrix(rho) -> np.ndarray:
+    """R = [a | T], rows 1..3 of the Pauli coefficients C_ij = tr(rho sigma_i (x) sigma_j), 3x4.
+
+    ``rho - P(rho)`` does not involve B's Bloch vector, so every measurement
+    disturbance is a function of R alone.
+    """
+    return _pauli_coefficients(rho)[1:]
+
+
+def _leg(r, w):
+    # x = w^T R for one frame vector w, with x0^2 and x1^2 + x2^2 + x3^2.
+    (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23) = r
+    w0, w1, w2 = w
+    x0 = w0 * r00 + w1 * r10 + w2 * r20
+    x1 = w0 * r01 + w1 * r11 + w2 * r21
+    x2 = w0 * r02 + w1 * r12 + w2 * r22
+    x3 = w0 * r03 + w1 * r13 + w2 * r23
+    return x0, x1, x2, x3, x0 * x0, x1 * x1 + x2 * x2 + x3 * x3
+
+
+def _terms(p, q):
+    # E, X and Y from the legs p = _leg(r, u) and q = _leg(r, v).
+    p0, p1, p2, p3, p00, pp = p
+    q0, q1, q2, q3, q00, qq = q
+    return p00 + pp + q00 + qq, p00 - pp - q00 + qq, 2.0 * (p0 * q0 - (p1 * q1 + p2 * q2 + p3 * q3))
+
+
+def frame_norms(r, u, v):
+    """Trace norms of rho - P_n(rho), from R = ``bloch_matrix(rho)``.
+
+    ``r`` is the 3x4 matrix R, as an array or as its rows of Python floats
+    (``R.tolist()``).  ``u = (u0, u1, u2)`` and ``v = (v0, v1, v2)`` are the
+    components of an orthonormal frame of the plane normal to the measurement
+    axis n.  Each component is either an array, giving one norm per frame
+    (components broadcast against each other, as on the oracle's grid), or a
+    float, giving the norm of one frame.  With p = u^T R, q = v^T R and the
+    Lorentz product <x, y> = x0 y0 - x.y, the norm is
+    sqrt((E + hypot(X, Y)) / 2) with E = |p|^2 + |q|^2, X = <p,p> - <q,q> and
+    Y = 2<p,q>, a sum of non-negative terms with no cancellation (Ciccarello,
+    Tufarelli & Giovannetti, NJP 16, 013038, 2014).  It is computed in two
+    legs, p with its squares from u and q with its squares from v, and their
+    combination.  Every sum is written out term by term, left to right, so
+    arrays and floats round alike and nothing depends on BLAS.  ``np.hypot``
+    serves floats too, so one frame given as floats gives the bits it gives
+    as one node of an array.
+    """
+    e, x, y = _terms(_leg(r, u), _leg(r, v))
+    half = 0.5 * (e + np.hypot(x, y))
+    # Both square roots are correctly rounded, so they agree bit for bit.
+    return np.sqrt(half) if isinstance(half, np.ndarray) else math.sqrt(half)

@@ -8,10 +8,11 @@ diff a regeneration against the committed table.
 Each case holds a raw state record and ``d1_oracle`` at three settings: the
 default search, the 32x64 grid with 60 refine steps, and that search again with
 ``stop_below`` set just above the default value, so it returns partway through
-the refinement.  It also holds ``measures._eigen_axes_min``, the kernel at the
-three eigen-axes of M = R R^T, which production takes the minimum with.  Values are written with ``float.hex`` and compared exactly:
-the table records bits, not a tolerance.  Regenerate only when a change of the
-oracle's arithmetic is intended, and say so where the change is recorded.
+the refinement.  It also holds the kernel at the three eigen-axes of
+M = R R^T (``tests/oracle_reference._d1_eigen_axes``).  Values are written
+with ``float.hex`` and compared exactly: the table records bits, not a
+tolerance.  Regenerate only when a change of the oracle's arithmetic is
+intended, and say so where the change is recorded.
 """
 
 from __future__ import annotations
@@ -23,11 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from qcorr.measures import _eigen_axes_min
-from qcorr.oracles import SearchConfig, bloch_matrix, d1_oracle
+from qcorr.oracles import SearchConfig, d1_oracle
 from qcorr.stateio import state_from_record, state_to_record
 from qcorr.states import DensityMatrix, ProbTable2x2, cc_state, cq_state, is_x_shaped, x_state
 from qcorr.verify import random_bloch_vector, random_density_matrix, random_x_params
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from oracle_reference import _d1_eigen_axes  # noqa: E402
 
 OUT = Path(__file__).with_name("d1_oracle_bits.json")
 
@@ -95,7 +98,7 @@ def main(out: Path = OUT) -> None:
         case = {
             "record": record,
             "d1_oracle": {key: value.hex() for key, value in oracle_values(rho).items()},
-            "d1_eigen_axes": _eigen_axes_min(bloch_matrix(rho)).hex(),
+            "d1_eigen_axes": _d1_eigen_axes(rho).hex(),
         }
         lines.append(json.dumps(case))
     out.write_text("[\n" + ",\n".join(lines) + "\n]\n", encoding="utf-8")

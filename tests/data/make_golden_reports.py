@@ -60,7 +60,7 @@ def state_records() -> list[dict]:
     for _ in range(20):
         c = random_bell_coefficients(rng)
         records.append({"family": "bell_diagonal", "params": {"c": [float(v) for v in c]}})
-    # Non-X states: d1 by search.
+    # Non-X states: cq and cc are locally X, the mixtures take the five axes.
     for _ in range(4):
         records.append({"family": "cq", "params": {
             "p1": float(rng.random()),
@@ -82,8 +82,8 @@ def state_records() -> list[dict]:
     for components in (1, 2, 3, 4, 6, None, None, None):
         records.append(state_to_record(random_density_matrix(rng, components)))
     # Appended later, so the records above keep their inputs: generic mixtures,
-    # which the search serves, and locally rotated X states, which are not
-    # X-shaped but take the closed form.
+    # which the five axes serve, and locally rotated X states, which are not
+    # X-shaped but take the X-state closed form.
     for components in (2, 3, 4, 5, 6, 2, 3, 4, 5):
         records.append(state_to_record(random_density_matrix(rng, components)))
     for _ in range(3):

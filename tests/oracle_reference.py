@@ -1,4 +1,4 @@
-"""Test-only references for the oracles, the d1 search and the family constructors.
+"""Test-only references for the oracles, the d1 kernel and the family constructors.
 
 Nothing in ``src/qcorr`` calls these.  They evaluate the same quantities from
 the definitions or along the slower path the production code was checked
@@ -9,9 +9,18 @@ import math
 
 import numpy as np
 
-from qcorr.measures import _eigen_axes_min
-from qcorr.oracles import _grid_frames, _grid_node, bloch_matrix, frame_norms
-from qcorr.states import _EYE2, _PAULI, _SIGMA, DensityMatrix, ProbTable2x2, XStateParams, projector_pair
+from qcorr.oracles import _compass_frames, _grid_frames, _grid_node
+from qcorr.states import (
+    _EYE2,
+    _PAULI,
+    _SIGMA,
+    DensityMatrix,
+    ProbTable2x2,
+    XStateParams,
+    bloch_matrix,
+    frame_norms,
+    projector_pair,
+)
 
 
 def measurement_map(rho: DensityMatrix, theta: float, phi: float) -> DensityMatrix:
@@ -111,33 +120,15 @@ def classical_cov_from_moments(p: ProbTable2x2) -> float:
 
 
 def _d1_eigen_axes(rho: DensityMatrix) -> float:
-    # The smallest disturbance over the three eigen-axes of M = R R^T, as full_report takes it.
-    return _eigen_axes_min(bloch_matrix(rho))
+    """The smallest disturbance over the three eigen-axes of M = R R^T, each framed by the other two.
 
-
-def _turn(a, b, s: float, c: float) -> tuple[float, float, float]:
-    # c (a + s b) for float triples a and b.
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    return (c * (a0 + s * b0), c * (a1 + s * b1), c * (a2 + s * b2))
-
-
-def _compass_frames(n, u, v, step: float) -> list[tuple]:
-    """Axes and frames one compass step of length ``step`` away: +u, -u, +v, -v.
-
-    ``n``, ``u`` and ``v`` are float triples; so is every vector returned, as
-    four (n', u', v') candidates.  The step rotates the frame with the axis,
-    n' = c (n +- s u), u' = c (u -+ s n), v' = v with c = 1 / sqrt(1 + s^2),
-    so no frame is rebuilt from scratch.  The vector a move keeps is the
-    object passed in, which lets the refinement reuse its leg.
+    Every axis bounds d1 from above.  On a zero-discord state (rank R <= 1)
+    the top eigen-axis gives 0 to rounding.
     """
-    c = 1.0 / math.sqrt(1.0 + step * step)
-    return [
-        (_turn(n, u, step, c), _turn(u, n, -step, c), v),
-        (_turn(n, u, -step, c), _turn(u, n, step, c), v),
-        (_turn(n, v, step, c), u, _turn(v, n, -step, c)),
-        (_turn(n, v, -step, c), u, _turn(v, n, step, c)),
-    ]
+    r = bloch_matrix(rho)
+    _, e = np.linalg.eigh(r @ r.T)
+    rows, (e0, e1, e2) = r.tolist(), e.T.tolist()
+    return min(frame_norms(rows, e1, e2), frame_norms(rows, e0, e2), frame_norms(rows, e0, e1))
 
 
 def _reference_d1(rho, cfg, stop_below=None):

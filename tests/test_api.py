@@ -115,6 +115,28 @@ def test_call_shapes():
     assert all(r.passed for r in checks)
 
 
+def _imported_modules(path: Path):
+    """Each module a file imports, and each name it imports from one, as dotted paths.
+
+    Relative imports resolve within the package: ``from .x import y`` gives
+    ``qcorr.x`` and ``qcorr.x.y``, ``from . import x`` gives ``qcorr.x``.
+    """
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["qcorr" if node.level else "", node.module]))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_measures_import_nothing_from_the_oracles():
+    # The oracles check production d1, so production must not run them.
+    imported = set(_imported_modules(SRC / "measures.py"))
+    assert "qcorr.states" in imported
+    assert not [m for m in imported if m == "qcorr.oracles" or m.startswith("qcorr.oracles.")]
+
+
 def _private_definitions(tree: ast.Module):
     """(name, statement) for every module-level function, class or constant named _x."""
     for stmt in tree.body:

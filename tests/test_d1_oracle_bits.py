@@ -1,11 +1,11 @@
 """`d1_oracle` bit for bit on a committed table (tests/data/d1_oracle_bits.json).
 
-The golden corpus holds search values only within ORACLE_TOL; this table holds
-the exact bits of the oracle on seeded non-X states, at the default search, at
-32x64/60 and at 32x64/60 with ``stop_below``, and of the eigen-axis minimum
-``full_report`` takes beside it (``measures._eigen_axes_min``), so a rewrite
-of the kernel, the grid or the refinement that changes any rounding fails
-here.  make_d1_oracle_bits.py next to the table wrote it.
+The table holds the exact bits of the oracle on seeded non-X states, at the
+default search, at 32x64/60 and at 32x64/60 with ``stop_below``, and of the
+kernel ``states.frame_norms`` at the three eigen-axes of M = R R^T
+(``oracle_reference._d1_eigen_axes``), so a rewrite of the kernel, the grid
+or the refinement that changes any rounding fails here.
+make_d1_oracle_bits.py next to the table wrote it.
 """
 
 import json
@@ -14,9 +14,11 @@ from pathlib import Path
 import pytest
 
 from oracle_reference import _d1_eigen_axes
+from qcorr.measures import full_report
 from qcorr.oracles import SearchConfig, d1_oracle
 from qcorr.stateio import state_from_record
 from qcorr.states import is_x_shaped
+from qcorr.verify import CLOSED_TOL
 
 CASES = json.loads(
     (Path(__file__).with_name("data") / "d1_oracle_bits.json").read_text(encoding="utf-8")
@@ -43,5 +45,8 @@ def test_d1_oracle_bit_exact(case):
 
 @pytest.mark.parametrize("case", CASES)
 def test_d1_eigen_axes_bit_exact(case):
+    # Any axis bounds d1 from above, so production d1 is not above the eigen-axes either.
     rho = state_from_record(case["record"])
-    assert _d1_eigen_axes(rho).hex() == case["d1_eigen_axes"]
+    value = _d1_eigen_axes(rho)
+    assert value.hex() == case["d1_eigen_axes"]
+    assert full_report(rho).d1 <= value + CLOSED_TOL

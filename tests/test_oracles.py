@@ -3,27 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from oracle_reference import _compass_frames, classical_cov_from_moments, measurement_map
+from oracle_reference import classical_cov_from_moments, measurement_map
 from qcorr.measures import mmc
 from qcorr.oracles import (
     SearchConfig,
+    _compass_frames,
     _grid_frames,
     _grid_node,
-    bloch_matrix,
     classical_cov,
     d1_oracle,
     disturbance_norms,
-    frame_norms,
     mmc_oracle,
 )
 from qcorr.states import (
     DensityMatrix,
     ProbTable2x2,
     bell_diagonal,
+    bloch_matrix,
     bloch_vectors,
     cc_state,
     correlation_tensor,
     cq_state,
+    frame_norms,
     pure_state,
     qubit_state,
     rho_d,
@@ -59,6 +60,31 @@ class TestSearchConfig:
     def test_refine_ceiling(self):
         with pytest.raises(ValueError, match="10000"):
             SearchConfig(refine_iters=10_001)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"refine_iters": 40.5},
+            {"refine_iters": 40.0},
+            {"refine_iters": True},
+            {"refine_iters": "40"},
+            {"coarse_grid": (64.5, 128)},
+            {"coarse_grid": (64, 128.0)},
+            {"coarse_grid": (True, 128)},
+            {"coarse_grid": (64, 128, 3)},
+            {"coarse_grid": (64,)},
+            {"coarse_grid": 64},
+        ],
+        ids=repr,
+    )
+    def test_sizes_must_be_integers(self, fields):
+        # Rejected on construction, not later inside range or np.linspace.
+        with pytest.raises(ValueError, match="integer"):
+            SearchConfig(**fields)
+
+    def test_numpy_integer_sizes_accepted(self):
+        cfg = SearchConfig(coarse_grid=(np.int64(32), np.int64(64)), refine_iters=np.int64(20))
+        assert d1_oracle(pure_state(0.6), cfg) == pytest.approx(0.6, abs=2e-3)
 
     def test_bounds_are_inclusive(self):
         # Only constructed: nothing is searched at these sizes.

@@ -392,6 +392,12 @@ class TestRhoD:
     def test_smax_value(self):
         assert rho_d_smax(0.1) == pytest.approx(0.2, abs=1e-15)
 
+    @pytest.mark.parametrize("w", [0.0, 0.5, 0.6, -0.1, math.nan, math.inf])
+    def test_smax_rejects_w_out_of_range(self, w):
+        # As rho_d rejects it, not a math domain error or a NaN bound.
+        with pytest.raises(StateError, match=r"\(0, 1/2\)"):
+            rho_d_smax(w)
+
     def test_matrix_layout(self):
         m = rho_d(0.1, 0.2).mat
         assert np.allclose(np.diag(m), [0.1, 0.1, 0.4, 0.4])
