@@ -39,6 +39,7 @@ from .states import (
     XStateParams,
     _density_matrix,
     _pauli_coefficients,
+    _x_entries,
     frame_norms,
     is_x_shaped,
 )
@@ -79,7 +80,7 @@ def _covariance(c: np.ndarray) -> np.ndarray:
 
 def covariance_matrix(rho: DensityMatrix) -> np.ndarray:
     """Q_ij = tr(rho sigma_i (x) sigma_j) - a_i b_j with marginal Bloch vectors a, b."""
-    return _covariance(_pauli_coefficients(_density_matrix(rho)))
+    return _covariance(_pauli_coefficients(rho))
 
 
 def _singular_values(q) -> list[float]:
@@ -360,14 +361,14 @@ def full_report(rho: DensityMatrix) -> MeasureReport:
     checks them.
     """
     # One matrix of Pauli coefficients gives Q, a, b and R = C[1:].
-    c = _pauli_coefficients(_density_matrix(rho))
+    c = _pauli_coefficients(rho)
     t = _singular_values(_covariance(c))
     b_row, *r_rows = c.tolist()
     rows = rho.mat.tolist()
     if is_x_shaped(rows, X_PATTERN_TOL):
         # The entries XStateParams.from_density_matrix reads, without validating rho again.
-        (m00, _, _, m03), (_, m11, m12, _), (_, _, m22, _), _ = rows
-        d1 = _x_entries_d1(m00.real, m11.real, m22.real, abs(m03), abs(m12))
+        rho11, rho22, rho33, _, rho14, rho23 = _x_entries(rows)
+        d1 = _x_entries_d1(rho11, rho22, rho33, rho14, rho23)
     else:
         d1 = _local_x_d1(r_rows)
         if d1 is None:

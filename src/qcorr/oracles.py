@@ -32,7 +32,6 @@ from .errors import DimensionError
 from .states import (
     _EYE2,
     _SIGMA,
-    _as_mat,
     _density_matrix,
     DensityMatrix,
     ProbTable2x2,
@@ -77,9 +76,12 @@ def disturbance_norms(rho, thetas, phis) -> np.ndarray:
 
     ``thetas`` and ``phis`` are paired 1-d arrays; row k of the result is the
     sum of the absolute eigenvalues of rho - P(rho), with P the dephasing of
-    subsystem A in the projector basis at ``(thetas[k], phis[k])``.
+    subsystem A in the projector basis at ``(thetas[k], phis[k])``.  Besides
+    a :class:`DensityMatrix`, ``rho`` may be a raw 4x4 matrix, which is
+    validated as one first, so anything that is not a state raises
+    :class:`StateError`.
     """
-    mat = _as_mat(rho)
+    mat = (rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)).mat
     t = np.atleast_1d(np.asarray(thetas, dtype=float))
     p = np.atleast_1d(np.asarray(phis, dtype=float))
     if t.shape != p.shape:
@@ -168,7 +170,7 @@ def d1_oracle(rho: DensityMatrix, cfg: SearchConfig | None = None, *, stop_below
     no norm is below 0.
     """
     cfg = DEFAULT_SEARCH if cfg is None else cfg
-    r = bloch_matrix(_density_matrix(rho)).tolist()
+    r = bloch_matrix(rho).tolist()
     grid_n, grid_u, grid_v, step = _grid_frames(*cfg.coarse_grid)
     vals = frame_norms(r, grid_u, grid_v)
     k = int(np.argmin(vals))

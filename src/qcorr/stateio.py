@@ -24,6 +24,7 @@ from .states import (
     DensityMatrix,
     ProbTable2x2,
     XStateParams,
+    _density_matrix,
     bell_diagonal,
     cc_state,
     cq_state,
@@ -128,13 +129,8 @@ def state_from_record(record) -> DensityMatrix:
 
 def state_to_record(rho: DensityMatrix) -> dict:
     """Serialize a density matrix as a raw record; entries round-trip bit-exactly."""
-    return {
-        "family": "raw",
-        "params": {
-            "re": rho.mat.real.tolist(),
-            "im": rho.mat.imag.tolist(),
-        },
-    }
+    m = _density_matrix(rho).mat
+    return {"family": "raw", "params": {"re": m.real.tolist(), "im": m.imag.tolist()}}
 
 
 def report_to_record(report: MeasureReport) -> dict:

@@ -3,6 +3,10 @@
 Conventions: computational basis ordered |00>, |01>, |10>, |11> with subsystem
 A as the first tensor factor, so A-side observables are sigma_i (x) I and
 B-side observables are I (x) sigma_j.  All angles are radians.
+
+Every function that reads a state takes a validated :class:`DensityMatrix`
+and raises :class:`StateError` for anything else; :func:`is_x_shaped` is a
+predicate on a plain 4x4 matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StateError
+from .errors import DimensionError, StateError
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -133,14 +137,8 @@ class DensityMatrix:
         return f"DensityMatrix(\n{np.array_str(self.mat, precision=6)}\n)"
 
 
-def _as_mat(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        return rho.mat
-    return np.asarray(rho, dtype=complex)
-
-
 def _density_matrix(rho) -> DensityMatrix:
-    # The measures and the oracles are defined on validated states only; a raw array could hold anything.
+    # Every state reader takes validated states only; a raw array could hold anything.
     if not isinstance(rho, DensityMatrix):
         raise StateError(f"expected a DensityMatrix, got {type(rho).__name__}")
     return rho
@@ -190,16 +188,13 @@ class XStateParams:
         removed by local diagonal unitaries, which leave every measure used
         here unchanged.
         """
-        m = rho.mat
-        rho11, rho22, rho33, rho44 = m.diagonal().real.tolist()
-        return cls(
-            rho11=rho11,
-            rho22=rho22,
-            rho33=rho33,
-            rho44=rho44,
-            rho14=float(abs(m[0, 3])),
-            rho23=float(abs(m[1, 2])),
-        )
+        return cls(*_x_entries(_density_matrix(rho).mat.tolist()))
+
+
+def _x_entries(rows) -> tuple[float, float, float, float, float, float]:
+    # rho11..rho44, |rho14| and |rho23| of a 4x4 matrix given as rows of Python complex numbers.
+    (m00, _, _, m03), (_, m11, m12, _), (_, _, m22, _), (_, _, _, m33) = rows
+    return m00.real, m11.real, m22.real, m33.real, abs(m03), abs(m12)
 
 
 @dataclass(frozen=True)
@@ -231,11 +226,16 @@ class ProbTable2x2:
 def is_x_shaped(mat, tol: float = 1e-12) -> bool:
     """True if every entry off the diagonal/anti-diagonal has magnitude below ``tol``.
 
-    ``mat`` is a 4x4 array, or its rows as nested lists (``ndarray.tolist()``).
-    A NaN entry makes the matrix not X-shaped.
+    A predicate on a matrix, not a state reader: ``mat`` is a 4x4 array, or
+    its rows as nested lists (``ndarray.tolist()``), and any other shape
+    raises :class:`DimensionError`.  A NaN entry makes the matrix not
+    X-shaped.
     """
     rows = mat if isinstance(mat, list) else np.asarray(mat).tolist()
-    (_, m01, m02, _), (m10, _, _, m13), (m20, _, _, m23), (_, m31, m32, _) = rows
+    try:
+        (_, m01, m02, _), (m10, _, _, m13), (m20, _, _, m23), (_, m31, m32, _) = rows
+    except (TypeError, ValueError) as exc:
+        raise DimensionError(f"expected a 4x4 matrix or its rows, got {type(mat).__name__}") from exc
     return (
         abs(m01) < tol and abs(m02) < tol and abs(m10) < tol and abs(m13) < tol
         and abs(m20) < tol and abs(m23) < tol and abs(m31) < tol and abs(m32) < tol
@@ -366,7 +366,7 @@ def bell_diagonal(c1: float, c2: float, c3: float) -> DensityMatrix:
 
 def partial_trace(rho: DensityMatrix, side: str) -> np.ndarray:
     """Reduced 2x2 state of one subsystem; side 'A' traces out B and vice versa."""
-    r = rho.mat.reshape(2, 2, 2, 2)
+    r = _density_matrix(rho).mat.reshape(2, 2, 2, 2)
     if side == "A":
         return np.einsum("ikjk->ij", r)
     if side == "B":
@@ -379,29 +379,26 @@ def partial_transpose(rho: DensityMatrix) -> np.ndarray:
 
     The result is a new, writeable array that shares no memory with ``rho.mat``.
     """
-    return rho.mat.take(_SPECTRA_INDEX[1])
+    return _density_matrix(rho).mat.take(_SPECTRA_INDEX[1])
 
 
-def _pauli_coefficients(rho) -> np.ndarray:
+def _pauli_coefficients(rho: DensityMatrix) -> np.ndarray:
     """C_ij = tr(rho sigma_i (x) sigma_j), sigma_0 = I: a = C[1:, 0], b = C[0, 1:], T = C[1:, 1:]."""
-    return np.einsum("ijab,ba->ij", _PAULI, _as_mat(rho)).real
+    return np.einsum("ijab,ba->ij", _PAULI, _density_matrix(rho).mat).real
 
 
-def bloch_vectors(rho) -> tuple[np.ndarray, np.ndarray]:
-    """Marginal Bloch vectors (a, b) with a_i = tr(rho sigma_i (x) I), b_j = tr(rho I (x) sigma_j).
-
-    ``rho`` is a :class:`DensityMatrix` or a raw 4x4 array.
-    """
+def bloch_vectors(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Marginal Bloch vectors (a, b) with a_i = tr(rho sigma_i (x) I), b_j = tr(rho I (x) sigma_j)."""
     c = _pauli_coefficients(rho)
     return c[1:, 0], c[0, 1:]
 
 
-def correlation_tensor(rho) -> np.ndarray:
-    """3x3 matrix of raw correlations T_ij = tr(rho sigma_i (x) sigma_j); ``rho`` as in :func:`bloch_vectors`."""
+def correlation_tensor(rho: DensityMatrix) -> np.ndarray:
+    """3x3 matrix of raw correlations T_ij = tr(rho sigma_i (x) sigma_j)."""
     return _pauli_coefficients(rho)[1:, 1:]
 
 
-def bloch_matrix(rho) -> np.ndarray:
+def bloch_matrix(rho: DensityMatrix) -> np.ndarray:
     """R = [a | T], rows 1..3 of the Pauli coefficients C_ij = tr(rho sigma_i (x) sigma_j), 3x4.
 
     ``rho - P(rho)`` does not involve B's Bloch vector, so every measurement

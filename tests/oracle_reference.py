@@ -9,7 +9,6 @@ import math
 
 import numpy as np
 
-from qcorr.oracles import _compass_frames, _grid_frames, _grid_node
 from qcorr.states import (
     _EYE2,
     _PAULI,
@@ -129,26 +128,3 @@ def _d1_eigen_axes(rho: DensityMatrix) -> float:
     _, e = np.linalg.eigh(r @ r.T)
     rows, (e0, e1, e2) = r.tolist(), e.T.tolist()
     return min(frame_norms(rows, e1, e2), frame_norms(rows, e0, e2), frame_norms(rows, e0, e1))
-
-
-def _reference_d1(rho, cfg, stop_below=None):
-    # The search with every node and every refine candidate through frame_norms.
-    r = bloch_matrix(rho).tolist()
-    grid_n, grid_u, grid_v, step = _grid_frames(*cfg.coarse_grid)
-    vals = frame_norms(r, grid_u, grid_v)
-    k = int(np.argmin(vals))
-    best = float(vals.flat[k])
-    n, u, v = (_grid_node(f, *divmod(k, vals.shape[1])) for f in (grid_n, grid_u, grid_v))
-    for _ in range(cfg.refine_iters):
-        if stop_below is not None and best <= stop_below:
-            return best
-        moved = None
-        for cand in _compass_frames(n, u, v, step):
-            val = frame_norms(r, cand[1], cand[2])
-            if val < best:
-                best, moved = val, cand
-        if moved is None:
-            step *= 0.5
-        else:
-            n, u, v = moved
-    return best

@@ -98,6 +98,15 @@ def test_call_shapes():
     rho = qcorr.bell_diagonal(0.5, -0.3, 0.2)
     assert qcorr.d1_oracle(rho) == pytest.approx(0.3, abs=2e-3)
 
+    # The layers perfbench times one by one: a raw matrix only where it passes rho.mat.
+    assert qcorr.DensityMatrix(rho.mat).mat.tobytes() == rho.mat.tobytes()
+    assert qcorr.is_x_shaped(rho.mat, X_PATTERN_TOL) is True
+    a, b = qcorr.bloch_vectors(rho)
+    assert a.shape == b.shape == (3,)
+    q = qcorr.covariance_matrix(rho)
+    assert qcorr.singular_values_3(q).tolist() == pytest.approx([0.5, 0.3, 0.2], abs=1e-12)
+    assert qcorr.negativity(rho) >= 0.0
+
     report = qcorr.full_report(rho)
     assert (report.d1, report.d1_method) == (pytest.approx(0.3, abs=1e-12), "closed_form")
 

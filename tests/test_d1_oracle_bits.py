@@ -1,6 +1,7 @@
 """`d1_oracle` bit for bit on a committed table (tests/data/d1_oracle_bits.json).
 
-The table holds the exact bits of the oracle on seeded non-X states, at the
+The table holds the exact bits of the oracle on seeded non-X states and on
+states with ties, where the first-of-equals rules decide the bits, at the
 default search, at 32x64/60 and at 32x64/60 with ``stop_below``, and of the
 kernel ``states.frame_norms`` at the three eigen-axes of M = R R^T
 (``oracle_reference._d1_eigen_axes``), so a rewrite of the kernel, the grid
@@ -9,6 +10,7 @@ make_d1_oracle_bits.py next to the table wrote it.
 """
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,11 +26,18 @@ CASES = json.loads(
     (Path(__file__).with_name("data") / "d1_oracle_bits.json").read_text(encoding="utf-8")
 )
 SMALL = SearchConfig(coarse_grid=(32, 64), refine_iters=60)
+# The kinds of tie appended after the 60 seeded cases, with their counts.
+TIE_KINDS = {
+    "x_pole": 4, "cq_pole": 4, "rotated_pure": 4, "rotated_bell_c1_c2": 4,
+    "werner": 4, "rotated_werner": 4, "identity": 1, "near_identity": 4,
+}
 
 
 def test_table_covers_non_x_states():
-    assert len(CASES) == 60
-    assert not any(is_x_shaped(state_from_record(c["record"]).mat) for c in CASES)
+    # 60 seeded non-X states, then the states with ties, tagged by kind.
+    seeded, ties = CASES[:60], CASES[60:]
+    assert not any("kind" in c or is_x_shaped(state_from_record(c["record"]).mat) for c in seeded)
+    assert Counter(c["kind"] for c in ties) == TIE_KINDS
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -404,7 +404,7 @@ class TestFullReport:
         # X_PATTERN_TOL: the route reads the entries XStateParams would.
         rng = np.random.default_rng(331)
         below = 0.999 * X_PATTERN_TOL
-        for _ in range(300):
+        for _ in range(2000):
             p = random_x_params(rng)
             m = np.diag([p.rho11, p.rho22, p.rho33, p.rho44]).astype(complex)
             m[0, 3] = p.rho14 * np.exp(1j * rng.uniform(-math.pi, math.pi))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracle_reference import classical_cov_from_moments, measurement_map
+from qcorr.errors import StateError
 from qcorr.measures import mmc
 from qcorr.oracles import (
     SearchConfig,
@@ -243,9 +244,11 @@ class TestFrameNorms:
                 assert np.abs(kernel - disturbance_norms(rho, *_angles(axes))).max() <= CLOSED_TOL
             n, u, v = candidates[k % 4]
 
-    def test_raw_array_gives_same_bloch_matrix(self):
+    def test_raw_array_is_rejected(self):
+        # R is read off validated states only, even when the array holds one.
         rho = random_density_matrix(np.random.default_rng(137))
-        assert np.array_equal(bloch_matrix(rho), bloch_matrix(rho.mat))
+        with pytest.raises(StateError, match="DensityMatrix"):
+            bloch_matrix(rho.mat)
 
     def test_bloch_matrix_is_a_beside_t_bit_for_bit(self):
         rng = np.random.default_rng(151)
@@ -253,8 +256,7 @@ class TestFrameNorms:
             for rho in (random_density_matrix(rng), x_state(random_x_params(rng))):
                 a, _ = bloch_vectors(rho)
                 expected = np.column_stack([a, correlation_tensor(rho)])
-                for arg in (rho, rho.mat):
-                    assert bloch_matrix(arg).tobytes() == expected.tobytes()
+                assert bloch_matrix(rho).tobytes() == expected.tobytes()
 
 
 class TestD1Oracle:

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from qcorr.errors import StateError
+from qcorr.errors import DimensionError, StateError
+from qcorr.oracles import disturbance_norms
+from qcorr.stateio import state_to_record
 from qcorr.states import (
     _PAULI,
     _pauli_coefficients,
@@ -16,6 +18,7 @@ from qcorr.states import (
     ProbTable2x2,
     XStateParams,
     bell_diagonal,
+    bloch_matrix,
     bloch_vectors,
     cc_state,
     correlation_tensor,
@@ -674,3 +677,50 @@ class TestXPattern:
         m = np.eye(4, dtype=complex) / 4
         m[3, 1] = np.nan
         assert not is_x_shaped(m) and not is_x_shaped(m.tolist())
+
+    @pytest.mark.parametrize("mat", [np.zeros((3, 3)), np.zeros((4, 5)), np.zeros(16), [[0.0] * 4] * 3, 0.25])
+    def test_other_shapes_raise_dimension_error(self, mat):
+        with pytest.raises(DimensionError, match="4x4"):
+            is_x_shaped(mat)
+
+
+# A valid X state as a raw matrix, a NaN matrix, the valid one as nested lists, and None.
+_VALID = rho_d(0.2, 0.1).mat
+RAW_INPUTS = {"ndarray": _VALID, "nan": np.full((4, 4), np.nan), "list": _VALID.tolist(), "None": None}
+
+READERS = {
+    "_pauli_coefficients": _pauli_coefficients,
+    "bloch_vectors": bloch_vectors,
+    "correlation_tensor": correlation_tensor,
+    "bloch_matrix": bloch_matrix,
+    "partial_trace": lambda rho: partial_trace(rho, "A"),
+    "partial_transpose": partial_transpose,
+    "from_density_matrix": XStateParams.from_density_matrix,
+    "state_to_record": state_to_record,
+    "is_x_shaped": is_x_shaped,
+    "disturbance_norms": lambda mat: disturbance_norms(mat, [0.1], [0.2]),
+}
+# The two that read a plain matrix, with the error each raises or what it
+# returns: is_x_shaped is a predicate on one, and disturbance_norms validates
+# one as a DensityMatrix first.  Every other reader raises StateError.
+MATRIX_OUTCOMES = {
+    "is_x_shaped": {"ndarray": True, "nan": False, "list": True, "None": DimensionError},
+    "disturbance_norms": {"ndarray": "as on the state", "nan": StateError, "list": "as on the state", "None": StateError},
+}
+CONTRACT = [
+    (name, kind, MATRIX_OUTCOMES.get(name, {}).get(kind, StateError)) for name in READERS for kind in RAW_INPUTS
+]
+
+
+@pytest.mark.parametrize("reader, kind, outcome", CONTRACT, ids=[f"{n}-{k}" for n, k, _ in CONTRACT])
+def test_state_readers_take_only_a_density_matrix(reader, kind, outcome):
+    # Nothing reads a state off an unvalidated array: a raw array could hold
+    # anything, and reading a NaN matrix as a state gives NaN Bloch vectors.
+    call, value = READERS[reader], RAW_INPUTS[kind]
+    if isinstance(outcome, type):
+        with pytest.raises(outcome, match=None if reader in MATRIX_OUTCOMES else "DensityMatrix"):
+            call(value)
+    elif outcome == "as on the state":
+        assert call(value).tobytes() == call(DensityMatrix(_VALID)).tobytes()
+    else:
+        assert call(value) is outcome
