@@ -54,6 +54,7 @@ from .states import (
 from .stateio import (
     report_to_record,
     state_from_record,
+    state_to_record,
     sweep_from_record,
 )
 from .verify import VerifyResult, format_line, run_checks
@@ -102,6 +103,7 @@ __all__ = [
     "run_checks",
     "singular_values_3",
     "state_from_record",
+    "state_to_record",
     "sweep_from_record",
     "x_state",
 ]

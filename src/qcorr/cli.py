@@ -64,7 +64,7 @@ _SEARCH_FLAGS = {"grid": "coarse_grid", "refine": "refine_iters", "seed": "seed"
 
 
 def _search_overrides(args) -> dict:
-    """SearchConfig fields set on the command line; each flag sets only its own."""
+    """Search settings and seed set on the command line; each flag sets only its own."""
     return {
         field: getattr(args, flag)
         for flag, field in _SEARCH_FLAGS.items()

@@ -3,9 +3,10 @@
 Everything here works directly from the definitions: the one-sided measurement
 disturbance is minimized over a deterministic angle grid with pattern-search
 refinement, and the covariance-matrix norm is maximized by alternating
-optimization from a grid of unit-vector starts.  Results are reproducible
-bit-for-bit for a fixed :class:`SearchConfig`.  Both oracles take a validated
-:class:`DensityMatrix` and raise :class:`StateError` for anything else.
+optimization from the best axis of the same grid.  Neither draws a random
+number, so results are reproducible bit-for-bit for a fixed
+:class:`SearchConfig`.  Both oracles take a validated :class:`DensityMatrix`
+and raise :class:`StateError` for anything else.
 
 Every disturbance value the d1 search returns or compares comes from
 :func:`qcorr.states.frame_norms`, a closed expression in R = [a | T] and an
@@ -52,7 +53,6 @@ class SearchConfig:
 
     coarse_grid: tuple[int, int] = (64, 128)
     refine_iters: int = 40
-    seed: int = 0
 
     def __post_init__(self):
         grid = self.coarse_grid
@@ -111,6 +111,7 @@ def _grid_frames(n_theta: int, n_phi: int) -> tuple[tuple, tuple, tuple, float]:
     component is cut from the full meshgrid arrays rather than recomputed,
     so each node holds the bits it would in a full array.  The step is a
     Python float, which keeps the refinement's arithmetic on Python floats.
+    :func:`mmc_oracle` reads the axes alone.
     """
     polar = 2.0 * np.linspace(0.0, math.pi / 4.0, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
@@ -193,36 +194,22 @@ def d1_oracle(rho: DensityMatrix, cfg: SearchConfig | None = None, *, stop_below
     return best
 
 
+# Local observables A_i (x) I, I (x) B_j and their products, built once.
+_A_OPS = [np.kron(pauli(i), _EYE2) for i in (1, 2, 3)]
+_B_OPS = [np.kron(_EYE2, pauli(j)) for j in (1, 2, 3)]
+_AB_OPS = [[a_op @ b_op for b_op in _B_OPS] for a_op in _A_OPS]
+
+
 def _covariance_by_traces(rho: DensityMatrix) -> np.ndarray:
     # Plain element-by-element evaluation of q_ij = <A_i B_j> - <A_i><B_j>,
     # kept deliberately separate from the vectorized production path.
-    a_ops = [np.kron(pauli(i), _EYE2) for i in (1, 2, 3)]
-    b_ops = [np.kron(_EYE2, pauli(j)) for j in (1, 2, 3)]
-    a = np.array([np.trace(rho.mat @ op).real for op in a_ops])
-    b = np.array([np.trace(rho.mat @ op).real for op in b_ops])
+    a = np.array([np.trace(rho.mat @ op).real for op in _A_OPS])
+    b = np.array([np.trace(rho.mat @ op).real for op in _B_OPS])
     q = np.empty((3, 3))
     for i in range(3):
         for j in range(3):
-            both = a_ops[i] @ b_ops[j]
-            q[i, j] = np.trace(rho.mat @ both).real - a[i] * b[j]
+            q[i, j] = np.trace(rho.mat @ _AB_OPS[i][j]).real - a[i] * b[j]
     return q
-
-
-def _unit_rows(v: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    ok = norms > 1e-300
-    fallback = np.zeros_like(v)
-    fallback[:, 0] = 1.0
-    return np.where(ok, v / np.where(ok, norms, 1.0), fallback)
-
-
-def _sphere_grid(n_polar: int, n_azimuth: int) -> np.ndarray:
-    th = np.linspace(0.0, math.pi, n_polar)
-    ph = np.linspace(0.0, 2.0 * math.pi, n_azimuth, endpoint=False)
-    tg, pg = np.meshgrid(th, ph, indexing="ij")
-    return np.stack(
-        [np.sin(tg) * np.cos(pg), np.sin(tg) * np.sin(pg), np.cos(tg)], axis=-1
-    ).reshape(-1, 3)
 
 
 def _krylov_polish(q: np.ndarray, a: np.ndarray, rounds: int = 3) -> np.ndarray:
@@ -235,6 +222,9 @@ def _krylov_polish(q: np.ndarray, a: np.ndarray, rounds: int = 3) -> np.ndarray:
     for _ in range(rounds):
         w = m @ a
         w_perp = w - (a @ w) * a
+        # A second pass: when Ma is nearly parallel to a, the first leaves a
+        # rounding-level part along a that dominates the small remainder.
+        w_perp -= (a @ w_perp) * a
         norm = np.linalg.norm(w_perp)
         if norm < 1e-300:
             break
@@ -242,16 +232,10 @@ def _krylov_polish(q: np.ndarray, a: np.ndarray, rounds: int = 3) -> np.ndarray:
         raa = a @ m @ a
         rae = a @ m @ e
         ree = e @ m @ e
-        half_gap = 0.5 * (raa - ree)
-        radius = math.hypot(half_gap, rae)
-        # rotation angle toward the top eigenvector of [[raa, rae], [rae, ree]]
-        top = 0.5 * (raa + ree) + radius
-        direction = np.array([rae, top - raa])
-        dnorm = np.linalg.norm(direction)
-        if dnorm < 1e-300:
-            break
-        direction /= dnorm
-        a = direction[0] * a + direction[1] * e
+        # Angle of the top eigenvector of [[raa, rae], [rae, ree]]: a rounding
+        # level rae turns a by a rounding level angle, whatever the gap.
+        angle = 0.5 * math.atan2(2.0 * rae, raa - ree)
+        a = math.cos(angle) * a + math.sin(angle) * e
         a /= np.linalg.norm(a)
     return a
 
@@ -259,32 +243,34 @@ def _krylov_polish(q: np.ndarray, a: np.ndarray, rounds: int = 3) -> np.ndarray:
 def mmc_oracle(rho: DensityMatrix, cfg: SearchConfig | None = None) -> float:
     """Maximize |<a, Q b>| over unit vectors a, b by alternating optimization.
 
-    Starts are taken on a spherical grid plus a few seeded random directions;
-    each start alternates b = Q^T a / |Q^T a| and a = Q b / |Q b| until the
-    objective changes by less than 1e-12.  The best iterate then gets an exact
-    two-dimensional subspace polish, which removes the slow-convergence error
-    left by near-degenerate top singular values.  The result equals the
-    largest singular value of the covariance matrix Q.
+    On the sphere, a^T Q Q^T a has no local maximum outside its top
+    eigenspace, so one start suffices: the axis n of the d1 search grid
+    (``cfg.coarse_grid``, the only field read) with the largest |Q^T n|.
+    From there the ascent alternates b = Q^T a / |Q^T a| and
+    a = Q b / |Q b| until a moves by less than 1e-12 in every component, or
+    for at most 500 rounds.  An exact two-dimensional subspace polish then
+    removes the slow-convergence error left by near-degenerate top singular
+    values.  The result, |Q^T a|, equals the largest singular value of the
+    covariance matrix Q.
     """
     cfg = DEFAULT_SEARCH if cfg is None else cfg
     q = _covariance_by_traces(_density_matrix(rho))
-    starts = _sphere_grid(max(cfg.coarse_grid[0] // 4, 8), max(cfg.coarse_grid[1] // 4, 16))
-    rng = np.random.default_rng(cfg.seed)
-    extra = _unit_rows(rng.standard_normal((8, 3)))
-    a = np.vstack([starts, extra])
-    b = _unit_rows(a @ q)
-    prev = np.full(len(a), -1.0)
+    # |Q^T n|^2 at every node; it is even in n, so the hemisphere covers every axis.
+    n = _grid_frames(*cfg.coarse_grid)[0]
+    reach = sum((q[0, j] * n[0] + q[1, j] * n[1] + q[2, j] * n[2]) ** 2 for j in range(3))
+    k = int(np.argmax(reach))
+    a = np.array(_grid_node(n, *divmod(k, reach.shape[1])))
     for _ in range(500):
-        a = _unit_rows(b @ q.T)
-        b = _unit_rows(a @ q)
-        vals = np.abs(np.einsum("ki,ij,kj->k", a, q, b))
-        if float(np.abs(vals - prev).max()) < 1e-12:
+        qa = q.T @ a
+        norm = np.linalg.norm(qa)
+        if norm < 1e-300:
+            return 0.0
+        qb = q @ (qa / norm)
+        prev = a
+        a = qb / np.linalg.norm(qb)
+        if np.abs(a - prev).max() < 1e-12:
             break
-        prev = vals
-    best = _krylov_polish(q, a[int(np.argmax(vals))])
-    b_best = _unit_rows((q.T @ best)[None, :])[0]
-    polished = abs(best @ q @ b_best)
-    return max(float(vals.max()), float(polished))
+    return float(np.linalg.norm(q.T @ _krylov_polish(q, a)))
 
 
 def classical_cov(p: ProbTable2x2) -> float:

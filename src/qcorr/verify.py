@@ -22,6 +22,7 @@ from .measures import (
 from .oracles import (
     DEFAULT_SEARCH,
     SearchConfig,
+    _is_int,
     classical_cov,
     d1_oracle,
     mmc_oracle,
@@ -44,7 +45,7 @@ CLOSED_TOL = 1e-10
 ORACLE_TOL = 2e-3
 
 # Cheaper but still admissible search used for the large sampled ensembles.
-_BULK_DEFAULT = SearchConfig(coarse_grid=(32, 64), refine_iters=60, seed=0)
+_BULK_DEFAULT = SearchConfig(coarse_grid=(32, 64), refine_iters=60)
 
 
 @dataclass(frozen=True)
@@ -72,12 +73,15 @@ def format_line(result: VerifyResult) -> str:
 def _configs(overrides: dict | None) -> tuple[SearchConfig, SearchConfig, int]:
     """(single-state config, bulk-ensemble config, ensemble seed).
 
-    ``overrides`` maps SearchConfig fields to values; each one replaces only
-    its own field, in both configs.  The ensemble seed is the bulk seed.
+    ``overrides`` maps SearchConfig fields to values, and ``seed`` to the
+    ensemble seed (default 0), a non-negative integer; each one replaces only
+    its own setting, a field in both configs.
     """
-    overrides = overrides or {}
-    bulk = replace(_BULK_DEFAULT, **overrides)
-    return replace(DEFAULT_SEARCH, **overrides), bulk, bulk.seed
+    overrides = dict(overrides or {})
+    seed = overrides.pop("seed", 0)
+    if not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return replace(DEFAULT_SEARCH, **overrides), replace(_BULK_DEFAULT, **overrides), int(seed)
 
 
 def random_density_matrix(rng: np.random.Generator, components: int | None = None) -> DensityMatrix:
@@ -440,8 +444,9 @@ ALL_CHECKS = [
 def run_checks(prefix: str | None = None, overrides: dict | None = None) -> list[VerifyResult]:
     """Run all (or prefix-filtered) check groups and return their results.
 
-    ``overrides`` maps SearchConfig fields (``coarse_grid``, ``refine_iters``,
-    ``seed``) to values that replace the suite's own settings field by field.
+    ``overrides`` maps SearchConfig fields (``coarse_grid``, ``refine_iters``)
+    and the ensemble ``seed`` to values that replace the suite's own settings
+    one by one.  The seed draws the sampled ensembles only; no oracle reads it.
     """
     _configs(overrides)  # an invalid override fails before any group runs
     results: list[VerifyResult] = []

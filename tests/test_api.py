@@ -5,6 +5,7 @@ an API trim that breaks either makes every benchmark run fail.
 """
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -60,6 +61,7 @@ PUBLIC_NAMES = [
     "run_checks",
     "singular_values_3",
     "state_from_record",
+    "state_to_record",
     "sweep_from_record",
     "x_state",
 ]
@@ -69,6 +71,11 @@ def test_public_names_pinned():
     assert sorted(qcorr.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(qcorr, name), name
+
+
+def test_search_config_fields_pinned():
+    # Search settings only: the ensemble seed is verify's, and no oracle draws a random number.
+    assert [f.name for f in dataclasses.fields(qcorr.SearchConfig)] == ["coarse_grid", "refine_iters"]
 
 
 def _qcorr_imports(path: Path) -> set[tuple[str, str]]:

@@ -480,3 +480,24 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", *flags)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and ("1024x2048" in err or "10000" in err)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--seed", "-1"],
+            ["--filter", "pure", "--seed", "-500"],
+            ["--filter", "cq", "--seed", "-101"],
+            ["--filter", "cq", "--seed", "-500"],
+        ],
+    )
+    def test_negative_seed_exit_2_before_any_check(self, capsys, monkeypatch, flags):
+        # The seed is checked once, before any group runs, whatever the filter.
+        monkeypatch.setattr(verify, "ALL_CHECKS", [("boom", lambda overrides: pytest.fail("ran"))])
+        code, out, err = run_cli(capsys, "verify", *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: seed must be a non-negative integer")
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0"], ids=repr)
+    def test_run_checks_rejects_seed(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            verify.run_checks(prefix="rho_d.spot", overrides={"seed": seed})

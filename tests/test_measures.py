@@ -52,7 +52,7 @@ from qcorr.verify import (
     random_x_params,
 )
 
-BULK = SearchConfig(coarse_grid=(32, 64), refine_iters=40, seed=0)
+BULK = SearchConfig(coarse_grid=(32, 64), refine_iters=40)
 FINE = SearchConfig(coarse_grid=(128, 256), refine_iters=300)
 
 

@@ -31,9 +31,15 @@ from qcorr.states import (
     rho_d,
     x_state,
 )
-from qcorr.verify import CLOSED_TOL, random_bloch_vector, random_density_matrix, random_x_params
+from qcorr.verify import (
+    CLOSED_TOL,
+    locally_rotated,
+    random_bloch_vector,
+    random_density_matrix,
+    random_x_params,
+)
 
-BULK = SearchConfig(coarse_grid=(32, 64), refine_iters=40, seed=0)
+BULK = SearchConfig(coarse_grid=(32, 64), refine_iters=40)
 
 
 class TestSearchConfig:
@@ -315,6 +321,24 @@ class TestMmcOracle:
         rng = np.random.default_rng(107)
         for _ in range(1000):
             rho = random_density_matrix(rng)
+            assert mmc_oracle(rho, BULK) == pytest.approx(mmc(rho), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "case", [10.0**-k for k in range(8, 17)] + [0.0, "werner", "maximally_mixed"], ids=str
+    )
+    def test_near_degenerate_states(self, case):
+        # Top singular values |c1| - |c2| apart: a gap of 1e-8 keeps the ascent
+        # at its round cap, and the polish must turn a the rest of the way
+        # without leaving the top pair; an ascent that stops when the value
+        # stalls misses by up to the gap.  Werner states and I/4 have
+        # Q Q^T = t^2 I.
+        if case == "maximally_mixed":
+            states = [DensityMatrix(np.eye(4) / 4.0)]
+        else:
+            c = (-0.3, -0.3, -0.3) if case == "werner" else (0.4, -(0.4 - case), 0.1)
+            rng = np.random.default_rng(37)
+            states = [locally_rotated(bell_diagonal(*c), rng) for _ in range(4)]
+        for rho in states:
             assert mmc_oracle(rho, BULK) == pytest.approx(mmc(rho), abs=1e-9)
 
 
