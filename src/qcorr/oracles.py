@@ -212,45 +212,50 @@ def _covariance_by_traces(rho: DensityMatrix) -> np.ndarray:
     return q
 
 
-def _krylov_polish(q: np.ndarray, a: np.ndarray, rounds: int = 3) -> np.ndarray:
-    # Exact maximization of |Q^T a| over the plane spanned by a and (Q Q^T) a.
-    # Once alternating ascent has confined a to the top-two singular subspace,
-    # that plane contains the leading singular vector exactly, so the 2x2
-    # restricted eigenproblem (closed-form solve) finishes the job even when
-    # the top singular values are too close for power iteration to separate.
-    m = q @ q.T
-    for _ in range(rounds):
-        w = m @ a
-        w_perp = w - (a @ w) * a
-        # A second pass: when Ma is nearly parallel to a, the first leaves a
-        # rounding-level part along a that dominates the small remainder.
-        w_perp -= (a @ w_perp) * a
-        norm = np.linalg.norm(w_perp)
-        if norm < 1e-300:
-            break
-        e = w_perp / norm
-        raa = a @ m @ a
-        rae = a @ m @ e
-        ree = e @ m @ e
-        # Angle of the top eigenvector of [[raa, rae], [rae, ree]]: a rounding
-        # level rae turns a by a rounding level angle, whatever the gap.
-        angle = 0.5 * math.atan2(2.0 * rae, raa - ree)
-        a = math.cos(angle) * a + math.sin(angle) * e
-        a /= np.linalg.norm(a)
-    return a
+def _top_in_plane(m: np.ndarray, a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    # The unit vector of the plane of orthonormal a and e with the largest
+    # x^T M x: a turned toward e by the angle of the top eigenvector of
+    # [[raa, rae], [rae, ree]].  A rounding-level rae turns a by a
+    # rounding-level angle, whatever the gap.
+    raa = a @ m @ a
+    rae = a @ m @ e
+    ree = e @ m @ e
+    angle = 0.5 * math.atan2(2.0 * rae, raa - ree)
+    x = math.cos(angle) * a + math.sin(angle) * e
+    return x / np.linalg.norm(x)
+
+
+def _krylov_polish(m: np.ndarray, a: np.ndarray) -> np.ndarray:
+    # Exact maximization of a^T M a over the plane spanned by a and M a.
+    # Once alternating ascent has confined a to the top-two eigenspace of M,
+    # that plane contains the top eigenvector exactly, so the 2x2 restricted
+    # problem finishes the job even when the top singular values are too
+    # close for power iteration to separate.
+    w = m @ a
+    w_perp = w - (a @ w) * a
+    # A second pass: when Ma is nearly parallel to a, the first leaves a
+    # rounding-level part along a that dominates the small remainder.
+    w_perp -= (a @ w_perp) * a
+    norm = np.linalg.norm(w_perp)
+    if norm < 1e-300:
+        return a
+    return _top_in_plane(m, a, w_perp / norm)
 
 
 def mmc_oracle(rho: DensityMatrix, cfg: SearchConfig | None = None) -> float:
     """Maximize |<a, Q b>| over unit vectors a, b by alternating optimization.
 
-    On the sphere, a^T Q Q^T a has no local maximum outside its top
-    eigenspace, so one start suffices: the axis n of the d1 search grid
+    The ascent starts at the axis n of the d1 search grid
     (``cfg.coarse_grid``, the only field read) with the largest |Q^T n|.
-    From there the ascent alternates b = Q^T a / |Q^T a| and
-    a = Q b / |Q b| until a moves by less than 1e-12 in every component, or
-    for at most 500 rounds.  An exact two-dimensional subspace polish then
-    removes the slow-convergence error left by near-degenerate top singular
-    values.  The result, |Q^T a|, equals the largest singular value of the
+    It alternates b = Q^T a / |Q^T a| and a = Q b / |Q b| until a moves by
+    less than 1e-12 in every component, or for at most 500 rounds.  An exact
+    two-dimensional subspace polish then removes the slow-convergence error
+    left by near-degenerate top singular values.  a is then an eigenvector
+    of Q Q^T, but not always the top one: a start exactly on a lower one's
+    axis, a saddle of a^T Q Q^T a on the sphere, never leaves it (the z pole
+    is such an axis for every X state).  The top axis then lies in the plane
+    normal to a, whose 2x2 problem is solved exactly too.  The result, the
+    larger |Q^T x| of the two, equals the largest singular value of the
     covariance matrix Q.
     """
     cfg = DEFAULT_SEARCH if cfg is None else cfg
@@ -270,7 +275,13 @@ def mmc_oracle(rho: DensityMatrix, cfg: SearchConfig | None = None) -> float:
         a = qb / np.linalg.norm(qb)
         if np.abs(a - prev).max() < 1e-12:
             break
-    return float(np.linalg.norm(q.T @ _krylov_polish(q, a)))
+    m = q @ q.T
+    a = _krylov_polish(m, a)
+    # An orthonormal pair (e, a x e) normal to a, e built from the axis least along a.
+    e = np.cross(a, np.eye(3)[np.argmin(np.abs(a))])
+    e /= np.linalg.norm(e)
+    b = _top_in_plane(m, e, np.cross(a, e))
+    return float(max(np.linalg.norm(q.T @ a), np.linalg.norm(q.T @ b)))
 
 
 def classical_cov(p: ProbTable2x2) -> float:

@@ -341,6 +341,32 @@ class TestMmcOracle:
         for rho in states:
             assert mmc_oracle(rho, BULK) == pytest.approx(mmc(rho), abs=1e-9)
 
+    @staticmethod
+    def _turned_about_z_on_a(rho, phi):
+        u = np.kron(np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)]), np.eye(2))
+        mat = u @ rho.mat @ u.conj().T
+        return DensityMatrix(0.5 * (mat + mat.conj().T))
+
+    @pytest.mark.parametrize(
+        "c, phi, cfg",
+        [
+            # 66 azimuths put no node on the y axis, the top one.
+            ((0.05, 0.4, 0.3999), 0.0, SearchConfig(coarse_grid=(32, 66))),
+            # The top axis, x turned by pi/128, lies midway between azimuths.
+            ((0.4, 0.05, 0.3999), math.pi / 128, SearchConfig()),
+            ((0.4, 0.05, 0.4 - 1e-8), math.pi / 128, SearchConfig()),
+            ((0.4, 0.05, 0.3999), math.pi / 64, BULK),
+        ],
+        ids=["no_node_on_top_axis", "midway_default", "midway_default_gap_1e-8", "midway_bulk"],
+    )
+    def test_start_on_lower_axis(self, c, phi, cfg):
+        # |q33| just below s1 makes the z pole the grid's best axis.  Q's
+        # third row and column are exactly 0 there, so the pole is an axis of
+        # Q Q^T that the ascent and the polish never leave; the answer comes
+        # from the plane normal to it.
+        rho = self._turned_about_z_on_a(bell_diagonal(*c), phi)
+        assert mmc_oracle(rho, cfg) == pytest.approx(mmc(rho), abs=1e-9)
+
 
 class TestClassicalCov:
     def test_uniform_table(self):
