@@ -38,6 +38,8 @@ from .states import (
     DensityMatrix,
     XStateParams,
     _density_matrix,
+    _eigh,
+    _eigvalsh,
     _pauli_coefficients,
     _x_entries,
     frame_norms,
@@ -90,7 +92,7 @@ def _singular_values(q) -> list[float]:
         raise DimensionError(f"expected a 3x3 real matrix, got shape {q.shape}")
     if np.count_nonzero(np.isfinite(q)) < 9:
         raise StateError("matrix has non-finite entries")
-    low, mid, top = np.linalg.eigvalsh(q.T @ q).tolist()
+    low, mid, top = _eigvalsh(q.T @ q)
     if low < -1e-14:
         raise StateError(f"Gram eigenvalue {low:.3e} is negative beyond roundoff")
     # Clamped as np.maximum(gram, 0.0) clamps: -0.0 becomes +0.0 and a NaN stays.
@@ -100,10 +102,13 @@ def _singular_values(q) -> list[float]:
 def singular_values_3(q) -> np.ndarray:
     """Singular values of a real 3x3 matrix, descending.
 
-    Computed as the square roots of the spectrum of ``q^T q``; eigenvalues in
-    ``[-1e-14, 0)`` are clamped to zero.  Anything more negative, and any
-    non-finite entry of ``q``, raises :class:`StateError`: ``q`` is a state's
-    covariance matrix, and no valid state gives one.
+    Computed as the square roots of the spectrum of ``q^T q``, which
+    :func:`qcorr.states._eigvalsh` takes from numpy's LAPACK gufunc: the bits
+    of ``np.linalg.eigvalsh`` without its wrapper, whose fixed cost is a large
+    share of a call on one 3x3 matrix.  Eigenvalues in ``[-1e-14, 0)`` are
+    clamped to zero.  Anything more negative, and any non-finite entry of
+    ``q``, raises :class:`StateError`: ``q`` is a state's covariance matrix,
+    and no valid state gives one.
     """
     return np.array(_singular_values(q))
 
@@ -135,7 +140,8 @@ def negativity(rho: DensityMatrix) -> float:
     the exact value is never below zero.  ``rho`` was checked Hermitian on
     construction, and partial transposition only permutes entries, so the
     spectrum is ``eigvalsh``'s, which validation computed together with the
-    state's own and stored as ``rho.pt_spectrum``: no LAPACK call here.
+    state's own, through numpy's LAPACK gufunc (:func:`qcorr.states._eigvalsh`),
+    and stored as ``rho.pt_spectrum``: no LAPACK call here.
     """
     e0, e1, e2, e3 = _density_matrix(rho).pt_spectrum
     # Summed in the order numpy sums four elements.
@@ -283,7 +289,11 @@ def _local_x_d1(rows: list) -> float | None:
 def _five_axes_d1(r: np.ndarray, rows: list) -> float:
     """d1 of R = [a | T] as the least disturbance over at most five axes.
 
-    ``r`` is R and ``rows`` its rows as Python floats.  With S = T T^T,
+    ``r`` is R and ``rows`` its rows as Python floats.  The eigenpairs of B
+    and S below come from one call on the two stacked through
+    :func:`qcorr.states._eigh`, numpy's ``eigh`` gufunc without the Python
+    wrapper, whose fixed cost is a large share of a call on two 3x3
+    matrices; they are ``np.linalg.eigh``'s bit for bit.  With S = T T^T,
     A = a a^T + S and B = a a^T - S, the disturbance at a unit axis n is
     f(n), with f(n)^2 = (E + hypot(X, Y)) / 2 as :func:`frame_norms`
     evaluates it: E is the trace of A compressed to the plane normal to n,
@@ -325,7 +335,7 @@ def _five_axes_d1(r: np.ndarray, rows: list) -> float:
     """
     a, t = r[:, 0], r[:, 1:]
     s = t @ t.T
-    w, e = np.linalg.eigh(np.stack([np.outer(a, a) - s, s]))
+    w, e = _eigh(np.stack([np.outer(a, a) - s, s]))
     (b3, b2, b1), _ = w.tolist()
     (e3, e2, e1), ys = e.transpose(0, 2, 1).tolist()
     values = []

@@ -3,10 +3,12 @@
 Everything here works directly from the definitions: the one-sided measurement
 disturbance is minimized over a deterministic angle grid with pattern-search
 refinement, and the covariance-matrix norm is maximized by alternating
-optimization from the best axis of the same grid.  Neither draws a random
-number, so results are reproducible bit-for-bit for a fixed
-:class:`SearchConfig`.  Both oracles take a validated :class:`DensityMatrix`
-and raise :class:`StateError` for anything else.
+optimization from the best axis of the same grid, finished by one Jacobi
+sweep.  Neither draws a random number, so results are reproducible
+bit-for-bit for a fixed :class:`SearchConfig`.  Both oracles take a validated
+:class:`DensityMatrix` and raise :class:`StateError` for anything else.
+Their LAPACK calls go through public ``np.linalg``, not through the
+production path's helpers in :mod:`qcorr.states`.
 
 Every disturbance value the d1 search returns or compares comes from
 :func:`qcorr.states.frame_norms`, a closed expression in R = [a | T] and an
@@ -212,34 +214,17 @@ def _covariance_by_traces(rho: DensityMatrix) -> np.ndarray:
     return q
 
 
-def _top_in_plane(m: np.ndarray, a: np.ndarray, e: np.ndarray) -> np.ndarray:
-    # The unit vector of the plane of orthonormal a and e with the largest
-    # x^T M x: a turned toward e by the angle of the top eigenvector of
-    # [[raa, rae], [rae, ree]].  A rounding-level rae turns a by a
-    # rounding-level angle, whatever the gap.
-    raa = a @ m @ a
-    rae = a @ m @ e
-    ree = e @ m @ e
-    angle = 0.5 * math.atan2(2.0 * rae, raa - ree)
-    x = math.cos(angle) * a + math.sin(angle) * e
-    return x / np.linalg.norm(x)
-
-
-def _krylov_polish(m: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # Exact maximization of a^T M a over the plane spanned by a and M a.
-    # Once alternating ascent has confined a to the top-two eigenspace of M,
-    # that plane contains the top eigenvector exactly, so the 2x2 restricted
-    # problem finishes the job even when the top singular values are too
-    # close for power iteration to separate.
-    w = m @ a
-    w_perp = w - (a @ w) * a
-    # A second pass: when Ma is nearly parallel to a, the first leaves a
-    # rounding-level part along a that dominates the small remainder.
-    w_perp -= (a @ w_perp) * a
-    norm = np.linalg.norm(w_perp)
-    if norm < 1e-300:
-        return a
-    return _top_in_plane(m, a, w_perp / norm)
+def _jacobi_rotation(m: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Orthonormal x and y turned within their plane onto the eigenvectors of
+    # M restricted to it, the one with the larger z^T M z first: the angle is
+    # that of the top eigenvector of [[rxx, rxy], [rxy, ryy]].  A
+    # rounding-level rxy turns them by a rounding-level angle, whatever the gap.
+    rxx = x @ m @ x
+    rxy = x @ m @ y
+    ryy = y @ m @ y
+    angle = 0.5 * math.atan2(2.0 * rxy, rxx - ryy)
+    c, s = math.cos(angle), math.sin(angle)
+    return c * x + s * y, c * y - s * x
 
 
 def mmc_oracle(rho: DensityMatrix, cfg: SearchConfig | None = None) -> float:
@@ -248,15 +233,19 @@ def mmc_oracle(rho: DensityMatrix, cfg: SearchConfig | None = None) -> float:
     The ascent starts at the axis n of the d1 search grid
     (``cfg.coarse_grid``, the only field read) with the largest |Q^T n|.
     It alternates b = Q^T a / |Q^T a| and a = Q b / |Q b| until a moves by
-    less than 1e-12 in every component, or for at most 500 rounds.  An exact
-    two-dimensional subspace polish then removes the slow-convergence error
-    left by near-degenerate top singular values.  a is then an eigenvector
-    of Q Q^T, but not always the top one: a start exactly on a lower one's
-    axis, a saddle of a^T Q Q^T a on the sphere, never leaves it (the z pole
-    is such an axis for every X state).  The top axis then lies in the plane
-    normal to a, whose 2x2 problem is solved exactly too.  The result, the
-    larger |Q^T x| of the two, equals the largest singular value of the
-    covariance matrix Q.
+    less than 1e-12 in every component, or for at most 500 rounds.  Close
+    singular values leave the ascent short of the top axis of M = Q Q^T,
+    and a start exactly on a lower axis, a saddle of a^T M a on the sphere,
+    never leaves it (the z pole is such an axis for every X state).  One
+    Jacobi sweep of M in the orthonormal basis (a, e, a x e) finishes the
+    job, e built from the coordinate axis least along a.  It turns the pair
+    normal to a first, which puts the top of that plane and a well
+    separated third axis in place, then the third axis against a, and last
+    the pair that holds the two largest values, whose 2x2 problem is solved
+    exactly however close they are.  Each turn leaves the larger x^T M x in
+    its first slot, so a ends with the largest of the three, and |Q^T a|,
+    the root of a Rayleigh quotient of M and so never above the largest
+    singular value of the covariance matrix Q, equals it.
     """
     cfg = DEFAULT_SEARCH if cfg is None else cfg
     q = _covariance_by_traces(_density_matrix(rho))
@@ -276,12 +265,12 @@ def mmc_oracle(rho: DensityMatrix, cfg: SearchConfig | None = None) -> float:
         if np.abs(a - prev).max() < 1e-12:
             break
     m = q @ q.T
-    a = _krylov_polish(m, a)
-    # An orthonormal pair (e, a x e) normal to a, e built from the axis least along a.
     e = np.cross(a, np.eye(3)[np.argmin(np.abs(a))])
     e /= np.linalg.norm(e)
-    b = _top_in_plane(m, e, np.cross(a, e))
-    return float(max(np.linalg.norm(q.T @ a), np.linalg.norm(q.T @ b)))
+    e, f = _jacobi_rotation(m, e, np.cross(a, e))
+    a, f = _jacobi_rotation(m, a, f)
+    a, e = _jacobi_rotation(m, a, e)
+    return float(np.linalg.norm(q.T @ a))
 
 
 def classical_cov(p: ProbTable2x2) -> float:

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import DimensionError, StateError
 
@@ -40,6 +41,31 @@ _PAULI = np.array([[np.kron(si, sj) for sj in (_EYE2, *_SIGMA)] for si in (_EYE2
 _SPECTRA_INDEX = np.stack(
     [np.arange(16).reshape(4, 4), np.arange(16).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)]
 )
+
+
+def _eigvalsh(a: np.ndarray) -> list:
+    """Ascending eigenvalues of a Hermitian matrix or stack, as (nested) Python floats.
+
+    What ``np.linalg.eigvalsh`` returns, bit for bit: the same gufunc on the
+    same lower triangle, without the wrapper's array conversion, type
+    resolution and ``errstate``, whose fixed cost is a large share of a call
+    on matrices this small.  ``a`` must be float64 or complex128.  A LAPACK
+    failure leaves NaNs and raises numpy's ``LinAlgError``; with no
+    ``errstate`` around the call, the invalid flag it sets also gives a
+    ``RuntimeWarning`` first.
+    """
+    w = _umath_linalg.eigvalsh_lo(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
+    if np.count_nonzero(w != w):
+        raise LinAlgError("Eigenvalues did not converge")
+    return w.tolist()
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of a real symmetric float64 matrix or stack, as :func:`_eigvalsh` calls it."""
+    w, v = _umath_linalg.eigh_lo(a, signature="d->dd")
+    if np.count_nonzero(w != w):
+        raise LinAlgError("Eigenvalues did not converge")
+    return w, v
 
 
 def pauli(i: int) -> np.ndarray:
@@ -95,9 +121,12 @@ class DensityMatrix:
     numbers; above half the tolerance ``np.abs(m - m.conj().T).max()``
     recomputes it, decides and is reported, as Python's ``abs`` may differ
     from numpy's in the last bit.  Validation computes the spectra of the
-    matrix and of its partial transpose on B in one ``eigvalsh`` call on the
-    two stacked; the second is kept as ``pt_spectrum``, a tuple of four floats
-    in ascending order, which :func:`qcorr.measures.negativity` reads.
+    matrix and of its partial transpose on B in one call on the two stacked,
+    through :func:`_eigvalsh`: numpy's ``eigvalsh`` gufunc without the Python
+    wrapper, whose fixed cost is a large share of a call on one stack, and
+    bit for bit what ``np.linalg.eigvalsh`` returns.  The second spectrum is
+    kept as ``pt_spectrum``, a tuple of four floats in ascending order, which
+    :func:`qcorr.measures.negativity` reads.
     """
 
     __slots__ = ("mat", "pt_spectrum")
@@ -124,7 +153,7 @@ class DensityMatrix:
         tr = (d0 + d1) + (d2 + d3)  # paired as m.trace() pairs them
         if abs(tr - 1.0) > TRACE_TOL:
             raise StateError(f"density matrix trace {tr:.15g} differs from 1")
-        spectrum, pt_spectrum = np.linalg.eigvalsh(m.take(_SPECTRA_INDEX)).tolist()
+        spectrum, pt_spectrum = _eigvalsh(m.take(_SPECTRA_INDEX))
         if spectrum[0] < PSD_TOL:
             raise StateError(
                 f"density matrix is not positive semidefinite: eigenvalue {spectrum[0]:.3e}"

@@ -153,6 +153,31 @@ def test_measures_import_nothing_from_the_oracles():
     assert not [m for m in imported if m == "qcorr.oracles" or m.startswith("qcorr.oracles.")]
 
 
+def _names_used(path: Path) -> set[str]:
+    """Every dotted path the file imports and every name or attribute it reads."""
+    names = set(_imported_modules(path))
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_lapack_gufuncs_only_behind_the_states_seam():
+    # Production reaches numpy's LAPACK gufuncs through states._eigvalsh and
+    # states._eigh alone; the oracles check production, so they keep to
+    # public np.linalg and stay off the seam.
+    users = {
+        path.name
+        for path in SRC.glob("*.py")
+        if any("_umath_linalg" in name.split(".") for name in _names_used(path))
+    }
+    assert users == {"states.py"}
+    oracle_names = {name.split(".")[-1] for name in _names_used(SRC / "oracles.py")}
+    assert not oracle_names & {"_eigvalsh", "_eigh"}
+
+
 def _private_definitions(tree: ast.Module):
     """(name, statement) for every module-level function, class or constant named _x."""
     for stmt in tree.body:

@@ -1,10 +1,14 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qcorr.measures
+import qcorr.states
 from oracle_reference import _d1_eigen_axes
 from qcorr.errors import DimensionError, StateError
 from qcorr.measures import (
@@ -101,7 +105,7 @@ class TestSingularValues3:
 
     def test_gram_negative_beyond_roundoff_is_state_error(self, monkeypatch):
         # q^T q is never indefinite in exact arithmetic, so the spectrum is patched.
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: np.array([-1e-10, 0.25, 1.0]))
+        monkeypatch.setattr(qcorr.measures, "_eigvalsh", lambda h: [-1e-10, 0.25, 1.0])
         with pytest.raises(StateError, match="negative beyond roundoff"):
             singular_values_3(np.eye(3))
 
@@ -114,13 +118,13 @@ class TestSingularValues3:
 
     def test_clamp_turns_negative_zero_into_positive_zero(self, monkeypatch):
         # eigvalsh returned no -0.0 on the matrices tried, so the spectrum is patched.
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: np.array([-1e-15, -0.0, 1.0]))
+        monkeypatch.setattr(qcorr.measures, "_eigvalsh", lambda h: [-1e-15, -0.0, 1.0])
         got = singular_values_3(np.eye(3))
         assert got.tolist() == [1.0, 0.0, 0.0] and not np.signbit(got).any()
 
     def test_clamp_keeps_a_nan(self, monkeypatch):
         # A Gram matrix that overflowed gives NaNs, which must not read as zeros.
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: np.array([np.nan, 0.25, 1.0]))
+        monkeypatch.setattr(qcorr.measures, "_eigvalsh", lambda h: [math.nan, 0.25, 1.0])
         got = singular_values_3(np.eye(3))
         assert got[:2].tolist() == [1.0, 0.5] and math.isnan(got[2])
 
@@ -345,6 +349,40 @@ class TestD1XState:
             assert closed == pytest.approx(d1_oracle(x_state(params), BULK), abs=2e-3)
 
 
+def _bell_state(v) -> np.ndarray:
+    v = np.array(v) / math.sqrt(2.0)
+    return np.outer(v, v)
+
+
+def _subnormal_off_pattern() -> np.ndarray:
+    m = np.eye(4, dtype=complex) / 4
+    for i, j in ((0, 1), (0, 2), (1, 3), (2, 3)):
+        m[i, j] = m[j, i] = 1e-310
+    m[1, 3], m[3, 1] = 1e-310j, -1e-310j
+    return m
+
+
+EDGE_STATES = {
+    "maximally_mixed": np.eye(4) / 4,
+    "product_00": np.diag([1.0, 0.0, 0.0, 0.0]),
+    "phi_plus": _bell_state([1, 0, 0, 1]),
+    "phi_minus": _bell_state([1, 0, 0, -1]),
+    "psi_plus": _bell_state([0, 1, 1, 0]),
+    "psi_minus": _bell_state([0, 1, -1, 0]),
+    "subnormal_off_pattern": _subnormal_off_pattern(),
+    # Not X-shaped up to rotations: d1 takes the five axes and _eigh.
+    "mixture": random_density_matrix(np.random.default_rng(17), 3).mat,
+}
+
+
+def _float_bits(report: MeasureReport):
+    # The report's fields with every float as its hex form, so -0.0 and 0.0 differ.
+    return [
+        [x.hex() for x in v] if isinstance(v, tuple) else v.hex() if isinstance(v, float) else v
+        for v in dataclasses.astuple(report)
+    ]
+
+
 class TestFullReport:
     def test_pure_state_bundle(self):
         rep = full_report(pure_state(0.6))
@@ -437,17 +475,38 @@ class TestFullReport:
         ids=lambda record: record["family"],
     )
     def test_two_eigvalsh_calls_per_closed_form_record(self, monkeypatch, record):
-        # One on the stacked matrix and partial transpose, one on the 3x3 Gram.
-        real = np.linalg.eigvalsh
-        shapes = []
+        # One on the stacked matrix and partial transpose, one on the 3x3 Gram,
+        # both through the seam and none through numpy's wrapper.
+        real, real_public = qcorr.states._eigvalsh, np.linalg.eigvalsh
+        shapes, public = [], []
 
         def counting(h):
             shapes.append(np.shape(h))
             return real(h)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        def counting_public(h):
+            public.append(np.shape(h))
+            return real_public(h)
+
+        monkeypatch.setattr(qcorr.states, "_eigvalsh", counting)
+        monkeypatch.setattr(qcorr.measures, "_eigvalsh", counting)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_public)
         assert full_report(state_from_record(record)).d1_method == "closed_form"
         assert sorted(shapes) == [(2, 4, 4), (3, 3)]
+        assert public == []
+
+    @pytest.mark.parametrize("mat", EDGE_STATES.values(), ids=EDGE_STATES.keys())
+    def test_edge_states_warn_nothing_and_match_numpy_s_route(self, monkeypatch, mat):
+        # numpy's wrapper runs LAPACK under an errstate that silences the
+        # over/divide flags; the seam calls the gufunc bare.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seam = full_report(DensityMatrix(mat))
+        monkeypatch.setattr(qcorr.states, "_eigvalsh", lambda h: np.linalg.eigvalsh(h).tolist())
+        monkeypatch.setattr(qcorr.measures, "_eigvalsh", lambda h: np.linalg.eigvalsh(h).tolist())
+        monkeypatch.setattr(qcorr.measures, "_eigh", np.linalg.eigh)
+        public = full_report(DensityMatrix(mat))
+        assert repr(_float_bits(seam)) == repr(_float_bits(public))
 
     def test_inconsistent_report_rejected(self):
         with pytest.raises(ValueError):

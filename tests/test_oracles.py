@@ -341,6 +341,19 @@ class TestMmcOracle:
         for rho in states:
             assert mmc_oracle(rho, BULK) == pytest.approx(mmc(rho), abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "gaps", [(1e-7, 1e-3), (1e-8, 1e-5), (1e-6, 1e-3), (1e-6, 1e-4), (1e-5, 1e-4)], ids=str
+    )
+    def test_close_singular_triples(self, gaps):
+        # s1 - s2 and s1 - s3 both small: the ascent leaves a part of a along
+        # the third direction, which a polish in one plane cannot remove, and
+        # the pair normal to a alone does not hold the top axis.
+        g12, g13 = gaps
+        rng = np.random.default_rng(39)
+        for _ in range(10):
+            rho = locally_rotated(bell_diagonal(0.4, -(0.4 - g12), 0.4 - g13), rng)
+            assert mmc_oracle(rho, BULK) == pytest.approx(mmc(rho), abs=1e-9)
+
     @staticmethod
     def _turned_about_z_on_a(rho, phi):
         u = np.kron(np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)]), np.eye(2))

@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 
+import qcorr.states
 from qcorr.errors import DimensionError, StateError
 from qcorr.oracles import disturbance_norms
 from qcorr.stateio import state_to_record
 from qcorr.states import (
     _PAULI,
+    _eigh,
+    _eigvalsh,
     _pauli_coefficients,
     HERMITICITY_TOL,
     PSD_TOL,
@@ -241,6 +245,66 @@ class TestDensityMatrixValidation:
             else:
                 DensityMatrix(m)
         assert decided == {True, False}
+
+
+@pytest.fixture(scope="module")
+def lapack_inputs():
+    """The production path's LAPACK inputs for 20 000 seeded states of rank 1 to 4.
+
+    Per state: the matrix stacked on its partial transpose (validation), the
+    Gram matrix Q^T Q of its covariance matrix, and the stack of
+    a a^T - T T^T and T T^T that the five-axes d1 route diagonalizes.
+    """
+    rng = np.random.default_rng(367)
+    stacks, grams, pairs = [], [], []
+    for k in range(20_000):
+        rho = random_density_matrix(rng, 1 + k % 4)
+        c = _pauli_coefficients(rho)
+        q = c[1:, 1:] - c[1:, :1] * c[:1, 1:]
+        a, t = c[1:, 0], c[1:, 1:]
+        s = t @ t.T
+        stacks.append(np.stack([rho.mat, partial_transpose(rho)]))
+        grams.append(q.T @ q)
+        pairs.append(np.stack([np.outer(a, a) - s, s]))
+    return stacks, grams, pairs
+
+
+class TestLapackSeam:
+    def test_eigvalsh_is_numpy_s_bit_for_bit(self, lapack_inputs):
+        stacks, grams, _ = lapack_inputs
+        for h in (*stacks, *grams):
+            assert np.array(_eigvalsh(h)).tobytes() == np.linalg.eigvalsh(h).tobytes()
+
+    def test_eigh_is_numpy_s_bit_for_bit(self, lapack_inputs):
+        for h in lapack_inputs[2]:
+            w, v = _eigh(h)
+            expected_w, expected_v = np.linalg.eigh(h)
+            assert w.tobytes() == expected_w.tobytes() and v.tobytes() == expected_v.tobytes()
+
+    def test_nan_output_is_linalg_error(self, monkeypatch):
+        # LAPACK failure leaves NaNs; one anywhere in the output must raise.
+        real = qcorr.states._umath_linalg
+
+        class OneNan:
+            @staticmethod
+            def eigvalsh_lo(a, signature):
+                w = real.eigvalsh_lo(a, signature=signature)
+                w.flat[-1] = math.nan
+                return w
+
+            @staticmethod
+            def eigh_lo(a, signature):
+                w, v = real.eigh_lo(a, signature=signature)
+                w.flat[-1] = math.nan
+                return w, v
+
+        monkeypatch.setattr(qcorr.states, "_umath_linalg", OneNan)
+        with pytest.raises(LinAlgError):
+            _eigvalsh(np.eye(3))
+        with pytest.raises(LinAlgError):
+            _eigh(np.stack([np.eye(3), np.eye(3)]))
+        with pytest.raises(LinAlgError):
+            DensityMatrix(np.eye(4) / 4)
 
 
 class TestPureState:
