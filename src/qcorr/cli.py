@@ -54,8 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the built-in verification suite")
     p_verify.add_argument("--filter", help="only run checks whose id starts with this prefix")
-    p_verify.add_argument("--grid", type=_grid, help="coarse search grid, e.g. 64x128")
-    p_verify.add_argument("--refine", type=int, help="pattern-search refinement iterations")
+    p_verify.add_argument("--grid", type=_grid, help="d1_oracle's coarse search grid, e.g. 64x128")
+    p_verify.add_argument("--refine", type=int, help="d1_oracle's pattern-search refinement iterations")
     p_verify.add_argument("--seed", type=int, help="seed for sampled ensembles")
     return parser
 

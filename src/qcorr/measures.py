@@ -108,9 +108,16 @@ def singular_values_3(q) -> np.ndarray:
     share of a call on one 3x3 matrix.  Eigenvalues in ``[-1e-14, 0)`` are
     clamped to zero.  Anything more negative, and any non-finite entry of
     ``q``, raises :class:`StateError`: ``q`` is a state's covariance matrix,
-    and no valid state gives one.
+    and no valid state gives one.  A complex or non-numeric ``q`` raises
+    :class:`DimensionError` rather than losing its imaginary part.
     """
-    return np.array(_singular_values(q))
+    try:
+        arr = np.asarray(q)
+    except (TypeError, ValueError) as exc:  # a ragged nesting, say
+        raise DimensionError(f"expected a 3x3 real matrix, got {type(q).__name__}") from exc
+    if arr.dtype.kind not in "biuf":
+        raise DimensionError(f"expected a 3x3 real matrix, got dtype {arr.dtype}")
+    return np.array(_singular_values(arr))
 
 
 def mmc(rho: DensityMatrix) -> float:

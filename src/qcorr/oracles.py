@@ -2,12 +2,11 @@
 
 Everything here works directly from the definitions: the one-sided measurement
 disturbance is minimized over a deterministic angle grid with pattern-search
-refinement, and the covariance-matrix norm is maximized by alternating
-optimization from the best axis of the same grid, finished by one Jacobi
-sweep.  Neither draws a random number, so results are reproducible
-bit-for-bit for a fixed :class:`SearchConfig`.  Both oracles take a validated
-:class:`DensityMatrix` and raise :class:`StateError` for anything else.
-Their LAPACK calls go through public ``np.linalg``, not through the
+refinement, set by :class:`SearchConfig`, and the covariance-matrix norm is
+maximized by cyclic Jacobi sweeps, which take no settings.  Neither draws a
+random number, so results are reproducible bit-for-bit.  Both oracles take a
+validated :class:`DensityMatrix` and raise :class:`StateError` for anything
+else.  Their LAPACK calls go through public ``np.linalg``, not through the
 production path's helpers in :mod:`qcorr.states`.
 
 Every disturbance value the d1 search returns or compares comes from
@@ -51,7 +50,7 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Deterministic search parameters for the brute-force evaluators."""
+    """Deterministic search parameters of :func:`d1_oracle`."""
 
     coarse_grid: tuple[int, int] = (64, 128)
     refine_iters: int = 40
@@ -113,7 +112,6 @@ def _grid_frames(n_theta: int, n_phi: int) -> tuple[tuple, tuple, tuple, float]:
     component is cut from the full meshgrid arrays rather than recomputed,
     so each node holds the bits it would in a full array.  The step is a
     Python float, which keeps the refinement's arithmetic on Python floats.
-    :func:`mmc_oracle` reads the axes alone.
     """
     polar = 2.0 * np.linspace(0.0, math.pi / 4.0, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
@@ -227,50 +225,35 @@ def _jacobi_rotation(m: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.nd
     return c * x + s * y, c * y - s * x
 
 
-def mmc_oracle(rho: DensityMatrix, cfg: SearchConfig | None = None) -> float:
-    """Maximize |<a, Q b>| over unit vectors a, b by alternating optimization.
+# Cap on mmc_oracle's cyclic Jacobi sweeps; no state measured has needed more than 7.
+_JACOBI_SWEEPS = 30
 
-    The ascent starts at the axis n of the d1 search grid
-    (``cfg.coarse_grid``, the only field read) with the largest |Q^T n|.
-    It alternates b = Q^T a / |Q^T a| and a = Q b / |Q b| until a moves by
-    less than 1e-12 in every component, or for at most 500 rounds.  Close
-    singular values leave the ascent short of the top axis of M = Q Q^T,
-    and a start exactly on a lower axis, a saddle of a^T M a on the sphere,
-    never leaves it (the z pole is such an axis for every X state).  One
-    Jacobi sweep of M in the orthonormal basis (a, e, a x e) finishes the
-    job, e built from the coordinate axis least along a.  It turns the pair
-    normal to a first, which puts the top of that plane and a well
-    separated third axis in place, then the third axis against a, and last
-    the pair that holds the two largest values, whose 2x2 problem is solved
-    exactly however close they are.  Each turn leaves the larger x^T M x in
-    its first slot, so a ends with the largest of the three, and |Q^T a|,
-    the root of a Rayleigh quotient of M and so never above the largest
-    singular value of the covariance matrix Q, equals it.
+
+def mmc_oracle(rho: DensityMatrix) -> float:
+    """Maximize |<a, Q b>| over unit vectors a, b by cyclic Jacobi on M = Q Q^T.
+
+    Starting from the coordinate basis x, y, z, each sweep turns the pairs
+    (x, y), (x, z) and (y, z) onto the eigenvectors of M restricted to their
+    plane.  Cyclic Jacobi converges from any basis (Forsythe & Henrici,
+    Trans. AMS 94, 1, 1960), so nothing depends on a start, and it is the
+    accurate reference for symmetric eigenproblems (Demmel & Veselic, SIAM
+    J. Matrix Anal. Appl. 13, 1204, 1992).  The sweeps stop once every
+    off-diagonal |x_i^T M x_j| is at most eps * max|M|, or after
+    ``_JACOBI_SWEEPS``.  The result is the largest |Q^T x| over the basis.
+    That is |<x, Q b>| at b = Q^T x / |Q^T x|, a value the definition's
+    objective actually reaches, so the oracle can only err low.
     """
-    cfg = DEFAULT_SEARCH if cfg is None else cfg
     q = _covariance_by_traces(_density_matrix(rho))
-    # |Q^T n|^2 at every node; it is even in n, so the hemisphere covers every axis.
-    n = _grid_frames(*cfg.coarse_grid)[0]
-    reach = sum((q[0, j] * n[0] + q[1, j] * n[1] + q[2, j] * n[2]) ** 2 for j in range(3))
-    k = int(np.argmax(reach))
-    a = np.array(_grid_node(n, *divmod(k, reach.shape[1])))
-    for _ in range(500):
-        qa = q.T @ a
-        norm = np.linalg.norm(qa)
-        if norm < 1e-300:
-            return 0.0
-        qb = q @ (qa / norm)
-        prev = a
-        a = qb / np.linalg.norm(qb)
-        if np.abs(a - prev).max() < 1e-12:
-            break
     m = q @ q.T
-    e = np.cross(a, np.eye(3)[np.argmin(np.abs(a))])
-    e /= np.linalg.norm(e)
-    e, f = _jacobi_rotation(m, e, np.cross(a, e))
-    a, f = _jacobi_rotation(m, a, f)
-    a, e = _jacobi_rotation(m, a, e)
-    return float(np.linalg.norm(q.T @ a))
+    floor = np.finfo(float).eps * np.abs(m).max()
+    x, y, z = np.eye(3)
+    for _ in range(_JACOBI_SWEEPS):
+        if max(abs(x @ m @ y), abs(x @ m @ z), abs(y @ m @ z)) <= floor:
+            break
+        x, y = _jacobi_rotation(m, x, y)
+        x, z = _jacobi_rotation(m, x, z)
+        y, z = _jacobi_rotation(m, y, z)
+    return float(max(np.linalg.norm(q.T @ v) for v in (x, y, z)))
 
 
 def classical_cov(p: ProbTable2x2) -> float:

@@ -115,24 +115,28 @@ def qubit_state(a) -> np.ndarray:
 class DensityMatrix:
     """Validated 4x4 two-qubit density matrix.
 
-    Construction rejects (rather than repairs) anything that is not Hermitian
-    within 1e-12, unit trace within 1e-12, and positive semidefinite down to
-    eigenvalue -1e-10.  The Hermiticity deviation is taken on Python complex
-    numbers; above half the tolerance ``np.abs(m - m.conj().T).max()``
-    recomputes it, decides and is reported, as Python's ``abs`` may differ
-    from numpy's in the last bit.  Validation computes the spectra of the
-    matrix and of its partial transpose on B in one call on the two stacked,
-    through :func:`_eigvalsh`: numpy's ``eigvalsh`` gufunc without the Python
-    wrapper, whose fixed cost is a large share of a call on one stack, and
-    bit for bit what ``np.linalg.eigvalsh`` returns.  The second spectrum is
-    kept as ``pt_spectrum``, a tuple of four floats in ascending order, which
+    Construction rejects (rather than repairs) anything that is not a 4x4
+    array of numbers, Hermitian within 1e-12, of unit trace within 1e-12, and
+    positive semidefinite down to eigenvalue -1e-10.  The Hermiticity
+    deviation is taken on Python complex numbers; above half the tolerance
+    ``np.abs(m - m.conj().T).max()`` recomputes it, decides and is reported,
+    as Python's ``abs`` may differ from numpy's in the last bit.  Validation
+    computes the spectra of the matrix and of its partial transpose on B in
+    one call on the two stacked, through :func:`_eigvalsh`: numpy's
+    ``eigvalsh`` gufunc without the Python wrapper, whose fixed cost is a
+    large share of a call on one stack, and bit for bit what
+    ``np.linalg.eigvalsh`` returns.  The second spectrum is kept as
+    ``pt_spectrum``, a tuple of four floats in ascending order, which
     :func:`qcorr.measures.negativity` reads.
     """
 
     __slots__ = ("mat", "pt_spectrum")
 
     def __init__(self, mat):
-        m = np.array(mat, dtype=complex, order="C")  # a copy the caller cannot change
+        try:
+            m = np.array(mat, dtype=complex, order="C")  # a copy the caller cannot change
+        except (TypeError, ValueError) as exc:
+            raise StateError(f"density matrix must be a 4x4 array of numbers, got {type(mat).__name__}") from exc
         if m.shape != (4, 4):
             raise StateError(f"density matrix must be 4x4, got shape {m.shape}")
         if np.count_nonzero(np.isfinite(m)) < 16:  # cheaper than .all() on a 4x4
@@ -245,7 +249,10 @@ class ProbTable2x2:
 
     @classmethod
     def from_array(cls, table) -> "ProbTable2x2":
-        t = np.asarray(table, dtype=float)
+        try:
+            t = np.asarray(table, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise StateError(f"probability table must be a 2x2 array of numbers, got {type(table).__name__}") from exc
         if t.shape != (2, 2):
             raise StateError(f"probability table must be 2x2, got shape {t.shape}")
         (p11, p12), (p21, p22) = t.tolist()

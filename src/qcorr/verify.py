@@ -348,7 +348,7 @@ def check_oracle_consistency(overrides: dict | None = None) -> list[VerifyResult
     for _ in range(500):
         params = random_x_params(rng)
         rho = x_state(params)
-        dev_mmc = max(dev_mmc, abs(mmc_oracle(rho, bulk_cfg) - mmc(rho)))
+        dev_mmc = max(dev_mmc, abs(mmc_oracle(rho) - mmc(rho)))
         closed, _ = d1_x_state(params)
         dev_d1 = max(dev_d1, abs(closed - d1_oracle(rho, bulk_cfg)))
     value = d1_oracle(bell_diagonal(0.4, -0.4, 0.4), spot_cfg)

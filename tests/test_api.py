@@ -7,6 +7,7 @@ an API trim that breaks either makes every benchmark run fail.
 import ast
 import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,18 @@ def test_search_config_fields_pinned():
     assert [f.name for f in dataclasses.fields(qcorr.SearchConfig)] == ["coarse_grid", "refine_iters"]
 
 
+def test_only_d1_oracle_takes_a_search_config():
+    # One path for search settings: mmc_oracle needs none, and production takes none.
+    takers = [
+        name
+        for name in qcorr.__all__
+        if inspect.isfunction(obj := getattr(qcorr, name))
+        and any("SearchConfig" in str(p.annotation) for p in inspect.signature(obj).parameters.values())
+    ]
+    assert takers == ["d1_oracle"]
+    assert list(inspect.signature(qcorr.mmc_oracle).parameters) == ["rho"]
+
+
 def _qcorr_imports(path: Path) -> set[tuple[str, str]]:
     """(module, name) for every ``from qcorr... import name`` in the file."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -104,6 +117,7 @@ def test_call_shapes():
 
     rho = qcorr.bell_diagonal(0.5, -0.3, 0.2)
     assert qcorr.d1_oracle(rho) == pytest.approx(0.3, abs=2e-3)
+    assert qcorr.mmc_oracle(rho) == pytest.approx(0.5, abs=1e-12)
 
     # The layers perfbench times one by one: a raw matrix only where it passes rho.mat.
     assert qcorr.DensityMatrix(rho.mat).mat.tobytes() == rho.mat.tobytes()

@@ -103,6 +103,16 @@ class TestSingularValues3:
         with pytest.raises(DimensionError):
             singular_values_3(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize(
+        "value",
+        [np.diag([0.5, 0.2, 0.1]) + 1e-3j, [["a"] * 3] * 3, [[0.5, 0.0, 0.0], [0.2]]],
+        ids=["complex", "text", "ragged"],
+    )
+    def test_complex_or_non_numeric_is_dimension_error(self, value):
+        # numpy would drop the imaginary part behind a ComplexWarning and return a plausible number.
+        with pytest.raises(DimensionError, match="3x3 real matrix"):
+            singular_values_3(value)
+
     def test_gram_negative_beyond_roundoff_is_state_error(self, monkeypatch):
         # q^T q is never indefinite in exact arithmetic, so the spectrum is patched.
         monkeypatch.setattr(qcorr.measures, "_eigvalsh", lambda h: [-1e-10, 0.25, 1.0])

@@ -307,52 +307,55 @@ class TestD1Oracle:
 class TestMmcOracle:
     def test_product_state(self):
         rho = DensityMatrix(np.kron(qubit_state((0.3, 0, 0.2)), qubit_state((0, 0.5, 0))))
-        assert mmc_oracle(rho, BULK) <= 1e-9
+        assert mmc_oracle(rho) <= 1e-9
 
     def test_bell_diagonal_spot(self):
-        assert mmc_oracle(bell_diagonal(0.5, -0.3, 0.2), BULK) == pytest.approx(
-            0.5, abs=1e-9
-        )
+        assert mmc_oracle(bell_diagonal(0.5, -0.3, 0.2)) == pytest.approx(0.5, abs=1e-9)
 
     def test_pure_state_spot(self):
-        assert mmc_oracle(pure_state(0.6), BULK) == pytest.approx(0.6, abs=1e-9)
+        assert mmc_oracle(pure_state(0.6)) == pytest.approx(0.6, abs=1e-9)
 
     def test_matches_singular_value_on_random_states(self):
         rng = np.random.default_rng(107)
         for _ in range(1000):
             rho = random_density_matrix(rng)
-            assert mmc_oracle(rho, BULK) == pytest.approx(mmc(rho), abs=1e-9)
+            assert mmc_oracle(rho) == pytest.approx(mmc(rho), abs=1e-9)
 
     @pytest.mark.parametrize(
-        "case", [10.0**-k for k in range(8, 17)] + [0.0, "werner", "maximally_mixed"], ids=str
+        "case",
+        [10.0**-k for k in range(8, 17)] + [0.0, "werner", "maximally_mixed", "rank_1", "rank_2", "tied_top_pair"],
+        ids=str,
     )
     def test_near_degenerate_states(self, case):
-        # Top singular values |c1| - |c2| apart: a gap of 1e-8 keeps the ascent
-        # at its round cap, and the polish must turn a the rest of the way
-        # without leaving the top pair; an ascent that stops when the value
-        # stalls misses by up to the gap.  Werner states and I/4 have
-        # Q Q^T = t^2 I.
+        # Top singular values |c1| - |c2| apart, down to a tie: the sweeps must
+        # stop on the off-diagonal of M = Q Q^T, not on a value that stalls
+        # while the basis still mixes the top pair.  Werner states and I/4 have
+        # Q Q^T = t^2 I.  Rank 1 and rank 2 leave M zero rows, and the tied
+        # top pair has |c1| = |c2| with c3 = 0.
         if case == "maximally_mixed":
             states = [DensityMatrix(np.eye(4) / 4.0)]
+        elif case == "rank_1":
+            states = [cq_state(0.3, 0.4, 1.0, (0.1, 0.2, 0.3), (-0.2, 0.0, 0.5))]
         else:
-            c = (-0.3, -0.3, -0.3) if case == "werner" else (0.4, -(0.4 - case), 0.1)
+            named = {"werner": (-0.3, -0.3, -0.3), "rank_2": (0.4, -0.3, 0.0), "tied_top_pair": (0.4, -0.4, 0.0)}
+            c = named[case] if case in named else (0.4, -(0.4 - case), 0.1)
             rng = np.random.default_rng(37)
             states = [locally_rotated(bell_diagonal(*c), rng) for _ in range(4)]
         for rho in states:
-            assert mmc_oracle(rho, BULK) == pytest.approx(mmc(rho), abs=1e-9)
+            assert mmc_oracle(rho) == pytest.approx(mmc(rho), abs=1e-9)
 
     @pytest.mark.parametrize(
         "gaps", [(1e-7, 1e-3), (1e-8, 1e-5), (1e-6, 1e-3), (1e-6, 1e-4), (1e-5, 1e-4)], ids=str
     )
     def test_close_singular_triples(self, gaps):
-        # s1 - s2 and s1 - s3 both small: the ascent leaves a part of a along
-        # the third direction, which a polish in one plane cannot remove, and
-        # the pair normal to a alone does not hold the top axis.
+        # s1 - s2 and s1 - s3 both small: no plane of M holds the top axis on
+        # its own, so a fixed number of sweeps stops short; only the
+        # off-diagonal test decides when the basis has settled.
         g12, g13 = gaps
         rng = np.random.default_rng(39)
         for _ in range(10):
             rho = locally_rotated(bell_diagonal(0.4, -(0.4 - g12), 0.4 - g13), rng)
-            assert mmc_oracle(rho, BULK) == pytest.approx(mmc(rho), abs=1e-9)
+            assert mmc_oracle(rho) == pytest.approx(mmc(rho), abs=1e-9)
 
     @staticmethod
     def _turned_about_z_on_a(rho, phi):
@@ -361,24 +364,23 @@ class TestMmcOracle:
         return DensityMatrix(0.5 * (mat + mat.conj().T))
 
     @pytest.mark.parametrize(
-        "c, phi, cfg",
+        "c, phi",
         [
-            # 66 azimuths put no node on the y axis, the top one.
-            ((0.05, 0.4, 0.3999), 0.0, SearchConfig(coarse_grid=(32, 66))),
-            # The top axis, x turned by pi/128, lies midway between azimuths.
-            ((0.4, 0.05, 0.3999), math.pi / 128, SearchConfig()),
-            ((0.4, 0.05, 0.4 - 1e-8), math.pi / 128, SearchConfig()),
-            ((0.4, 0.05, 0.3999), math.pi / 64, BULK),
+            ((0.05, 0.4, 0.3999), 0.0),
+            ((0.4, 0.05, 0.3999), math.pi / 128),
+            ((0.4, 0.05, 0.4 - 1e-8), math.pi / 128),
+            ((0.4, 0.05, 0.3999), math.pi / 64),
         ],
         ids=["no_node_on_top_axis", "midway_default", "midway_default_gap_1e-8", "midway_bulk"],
     )
-    def test_start_on_lower_axis(self, c, phi, cfg):
-        # |q33| just below s1 makes the z pole the grid's best axis.  Q's
-        # third row and column are exactly 0 there, so the pole is an axis of
-        # Q Q^T that the ascent and the polish never leave; the answer comes
-        # from the plane normal to it.
+    def test_start_on_lower_axis(self, c, phi):
+        # |q33| just below s1, with the top axis turned about z by phi: the z
+        # pole is an exact axis of Q Q^T, as Q's third row and column are 0,
+        # but not the top one.  The coordinate basis starts on it, and the
+        # sweeps must turn the top axis out of the (x, y) plane.  The ids
+        # name the d1 grids whose best node once sat on the pole.
         rho = self._turned_about_z_on_a(bell_diagonal(*c), phi)
-        assert mmc_oracle(rho, cfg) == pytest.approx(mmc(rho), abs=1e-9)
+        assert mmc_oracle(rho) == pytest.approx(mmc(rho), abs=1e-9)
 
 
 class TestClassicalCov:

@@ -137,6 +137,13 @@ class TestDensityMatrixValidation:
         with pytest.raises(StateError):
             DensityMatrix(np.eye(2) / 2)
 
+    @pytest.mark.parametrize(
+        "mat", ["abc", [[0.25, 0.0], [0.25]], object(), {"mat": 1}], ids=["text", "ragged", "object", "dict"]
+    )
+    def test_rejects_what_is_no_array_of_numbers(self, mat):
+        with pytest.raises(StateError, match="4x4 array of numbers"):
+            DensityMatrix(mat)
+
     def test_rejects_non_hermitian(self):
         m = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
         m[0, 1] = 1e-3
@@ -404,6 +411,10 @@ class TestClassicalClassical:
             ProbTable2x2(0.5, 0.5, 0.5, -0.5)
         with pytest.raises(StateError):
             ProbTable2x2(0.5, 0.5, 0.5, 0.5)
+
+    def test_text_table_rejected(self):
+        with pytest.raises(StateError, match="2x2 array of numbers"):
+            ProbTable2x2.from_array("ab")
 
 
 class TestXState:
@@ -748,9 +759,17 @@ class TestXPattern:
             is_x_shaped(mat)
 
 
-# A valid X state as a raw matrix, a NaN matrix, the valid one as nested lists, and None.
+# A valid X state as a raw matrix, a NaN matrix, the valid one as nested lists,
+# None, text, and the valid rows with the last one cut short.
 _VALID = rho_d(0.2, 0.1).mat
-RAW_INPUTS = {"ndarray": _VALID, "nan": np.full((4, 4), np.nan), "list": _VALID.tolist(), "None": None}
+RAW_INPUTS = {
+    "ndarray": _VALID,
+    "nan": np.full((4, 4), np.nan),
+    "list": _VALID.tolist(),
+    "None": None,
+    "text": "abcd",
+    "ragged": _VALID.tolist()[:3] + [[0.0] * 3],
+}
 
 READERS = {
     "_pauli_coefficients": _pauli_coefficients,
@@ -768,8 +787,14 @@ READERS = {
 # returns: is_x_shaped is a predicate on one, and disturbance_norms validates
 # one as a DensityMatrix first.  Every other reader raises StateError.
 MATRIX_OUTCOMES = {
-    "is_x_shaped": {"ndarray": True, "nan": False, "list": True, "None": DimensionError},
-    "disturbance_norms": {"ndarray": "as on the state", "nan": StateError, "list": "as on the state", "None": StateError},
+    "is_x_shaped": {
+        "ndarray": True, "nan": False, "list": True, "None": DimensionError, "text": DimensionError,
+        "ragged": DimensionError,
+    },
+    "disturbance_norms": {
+        "ndarray": "as on the state", "nan": StateError, "list": "as on the state", "None": StateError,
+        "text": StateError, "ragged": StateError,
+    },
 }
 CONTRACT = [
     (name, kind, MATRIX_OUTCOMES.get(name, {}).get(kind, StateError)) for name in READERS for kind in RAW_INPUTS
