@@ -75,24 +75,24 @@ class MeasureReport:
             )
 
 
-def _covariance(c: np.ndarray) -> np.ndarray:
-    # Q = T - a b^T from the Pauli coefficients C; the products of np.outer(a, b).
-    return c[1:, 1:] - c[1:, :1] * c[:1, 1:]
+def _covariance_array(c: list) -> np.ndarray:
+    # Q = T - a b^T from C's rows: numpy's bits of T - np.outer(a, b), and a finiteness check no valid state fails.
+    (_, b0, b1, b2), (a0, t00, t01, t02), (a1, t10, t11, t12), (a2, t20, t21, t22) = c
+    q = [t00 - a0 * b0, t01 - a0 * b1, t02 - a0 * b2, t10 - a1 * b0, t11 - a1 * b1, t12 - a1 * b2,
+         t20 - a2 * b0, t21 - a2 * b1, t22 - a2 * b2]
+    if not all(map(math.isfinite, q)):
+        raise StateError("matrix has non-finite entries")
+    return np.array(q).reshape(3, 3)
 
 
 def covariance_matrix(rho: DensityMatrix) -> np.ndarray:
-    """Q_ij = tr(rho sigma_i (x) sigma_j) - a_i b_j with marginal Bloch vectors a, b."""
-    return _covariance(_pauli_coefficients(rho))
+    """Q_ij = tr(rho sigma_i (x) sigma_j) - a_i b_j for Bloch vectors a, b; the bits of T - np.outer(a, b)."""
+    return _covariance_array(_pauli_coefficients(rho).tolist())
 
 
-def _singular_values(q) -> list[float]:
-    # singular_values_3 as a descending list of Python floats.
-    q = np.asarray(q, dtype=float)
-    if q.shape != (3, 3):
-        raise DimensionError(f"expected a 3x3 real matrix, got shape {q.shape}")
-    if np.count_nonzero(np.isfinite(q)) < 9:
-        raise StateError("matrix has non-finite entries")
-    low, mid, top = _eigvalsh(q.T @ q)
+def _singular_values(q: np.ndarray) -> list[float]:
+    # The spectrum core: a finite real 3x3 float64 q's singular values, descending, as Python floats.
+    low, mid, top = _eigvalsh(q.T @ q)  # numpy's matmul, whose FMA sets bits a Python sum would not
     if low < -1e-14:
         raise StateError(f"Gram eigenvalue {low:.3e} is negative beyond roundoff")
     # Clamped as np.maximum(gram, 0.0) clamps: -0.0 becomes +0.0 and a NaN stays.
@@ -102,21 +102,21 @@ def _singular_values(q) -> list[float]:
 def singular_values_3(q) -> np.ndarray:
     """Singular values of a real 3x3 matrix, descending.
 
-    Computed as the square roots of the spectrum of ``q^T q``, which
-    :func:`qcorr.states._eigvalsh` takes from numpy's LAPACK gufunc: the bits
-    of ``np.linalg.eigvalsh`` without its wrapper, whose fixed cost is a large
-    share of a call on one 3x3 matrix.  Eigenvalues in ``[-1e-14, 0)`` are
-    clamped to zero.  Anything more negative, and any non-finite entry of
-    ``q``, raises :class:`StateError`: ``q`` is a state's covariance matrix,
-    and no valid state gives one.  A complex or non-numeric ``q`` raises
+    The square roots of the spectrum of ``q^T q``, by the spectrum core the measures share, which
+    takes it from numpy's LAPACK gufunc through :func:`qcorr.states._eigvalsh`: ``np.linalg.eigvalsh``'s
+    bits without its wrapper.  Eigenvalues in ``[-1e-14, 0)`` are clamped to zero.  Anything more
+    negative, and any non-finite entry of ``q``, raises :class:`StateError`: ``q`` is a state's
+    covariance matrix, and no valid state gives one.  A complex or non-numeric ``q`` raises
     :class:`DimensionError` rather than losing its imaginary part.
     """
-    try:
-        arr = np.asarray(q)
-    except (TypeError, ValueError) as exc:  # a ragged nesting, say
+    try:  # a same-kind cast takes bool, integer and float entries
+        arr = np.asarray(q).astype(float, casting="same_kind", copy=False)
+    except (TypeError, ValueError) as exc:  # a ragged nesting, complex or text, say
         raise DimensionError(f"expected a 3x3 real matrix, got {type(q).__name__}") from exc
-    if arr.dtype.kind not in "biuf":
-        raise DimensionError(f"expected a 3x3 real matrix, got dtype {arr.dtype}")
+    if arr.shape != (3, 3):
+        raise DimensionError(f"expected a 3x3 real matrix, got shape {arr.shape}")
+    if np.count_nonzero(np.isfinite(arr)) < 9:
+        raise StateError("matrix has non-finite entries")
     return np.array(_singular_values(arr))
 
 
@@ -297,10 +297,8 @@ def _five_axes_d1(r: np.ndarray, rows: list) -> float:
     """d1 of R = [a | T] as the least disturbance over at most five axes.
 
     ``r`` is R and ``rows`` its rows as Python floats.  The eigenpairs of B
-    and S below come from one call on the two stacked through
-    :func:`qcorr.states._eigh`, numpy's ``eigh`` gufunc without the Python
-    wrapper, whose fixed cost is a large share of a call on two 3x3
-    matrices; they are ``np.linalg.eigh``'s bit for bit.  With S = T T^T,
+    and S below are ``np.linalg.eigh``'s bits, from one
+    :func:`qcorr.states._eigh` call on the two stacked.  With S = T T^T,
     A = a a^T + S and B = a a^T - S, the disturbance at a unit axis n is
     f(n), with f(n)^2 = (E + hypot(X, Y)) / 2 as :func:`frame_norms`
     evaluates it: E is the trace of A compressed to the plane normal to n,
@@ -343,7 +341,7 @@ def _five_axes_d1(r: np.ndarray, rows: list) -> float:
     a, t = r[:, 0], r[:, 1:]
     s = t @ t.T
     w, e = _eigh(np.stack([np.outer(a, a) - s, s]))
-    (b3, b2, b1), _ = w.tolist()
+    (b3, b2, b1), _ = w
     (e3, e2, e1), ys = e.transpose(0, 2, 1).tolist()
     values = []
     if b1 > b3:
@@ -379,8 +377,8 @@ def full_report(rho: DensityMatrix) -> MeasureReport:
     """
     # One matrix of Pauli coefficients gives Q, a, b and R = C[1:].
     c = _pauli_coefficients(rho)
-    t = _singular_values(_covariance(c))
-    b_row, *r_rows = c.tolist()
+    b_row, *r_rows = c_rows = c.tolist()
+    t = _singular_values(_covariance_array(c_rows))
     rows = rho.mat.tolist()
     if is_x_shaped(rows, X_PATTERN_TOL):
         # The entries XStateParams.from_density_matrix reads, without validating rho again.

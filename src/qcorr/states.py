@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import DimensionError, StateError
@@ -46,26 +47,25 @@ _SPECTRA_INDEX = np.stack(
 def _eigvalsh(a: np.ndarray) -> list:
     """Ascending eigenvalues of a Hermitian matrix or stack, as (nested) Python floats.
 
-    What ``np.linalg.eigvalsh`` returns, bit for bit: the same gufunc on the
-    same lower triangle, without the wrapper's array conversion, type
-    resolution and ``errstate``, whose fixed cost is a large share of a call
-    on matrices this small.  ``a`` must be float64 or complex128.  A LAPACK
-    failure leaves NaNs and raises numpy's ``LinAlgError``; with no
-    ``errstate`` around the call, the invalid flag it sets also gives a
-    ``RuntimeWarning`` first.
+    ``np.linalg.eigvalsh``'s bits from its gufunc on the same lower triangle, without the wrapper's
+    conversion, type resolution and ``errstate``, whose fixed cost dominates a call this small.
+    ``a`` is float64 or complex128.  A LAPACK failure leaves NaNs, sought on the floats, and
+    raises numpy's ``LinAlgError`` after a ``RuntimeWarning`` for the invalid flag it sets.
     """
-    w = _umath_linalg.eigvalsh_lo(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
-    if np.count_nonzero(w != w):
-        raise LinAlgError("Eigenvalues did not converge")
-    return w.tolist()
+    return _checked(_umath_linalg.eigvalsh_lo(a, signature="D->d" if a.dtype.kind == "c" else "d->d"))
 
 
-def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh`` of a real symmetric float64 matrix or stack, as :func:`_eigvalsh` calls it."""
+def _eigh(a: np.ndarray) -> tuple[list, np.ndarray]:
+    """``np.linalg.eigh`` of a real symmetric float64 stack, as :func:`_eigvalsh` calls it; values as floats."""
     w, v = _umath_linalg.eigh_lo(a, signature="d->dd")
-    if np.count_nonzero(w != w):
+    return _checked(w), v
+
+
+def _checked(w: np.ndarray) -> list:
+    values = w.tolist()
+    if any(map(math.isnan, values if w.ndim == 1 else sum(values, []))):  # a row, or a stack's rows joined
         raise LinAlgError("Eigenvalues did not converge")
-    return w, v
+    return values
 
 
 def pauli(i: int) -> np.ndarray:
@@ -75,19 +75,22 @@ def pauli(i: int) -> np.ndarray:
     return _SIGMA[i - 1].copy()
 
 
-def _as_bloch(vec, what: str = "Bloch vector") -> np.ndarray:
-    try:
-        v = np.asarray(vec, dtype=float)
+def _qubit_rows(a) -> list:
+    try:  # a same-kind cast takes bool, integer and float entries; complex ones would lose their imaginary part
+        v = np.asarray(a).astype(float, casting="same_kind", copy=False)
     except (TypeError, ValueError) as exc:
-        raise StateError(f"{what} must be a real 3-vector") from exc
+        raise StateError("Bloch vector must be a real 3-vector") from exc
     if v.shape != (3,):
-        raise StateError(f"{what} must have exactly 3 components, got shape {v.shape}")
+        raise StateError(f"Bloch vector must have exactly 3 components, got shape {v.shape}")
     if np.count_nonzero(np.isfinite(v)) < 3:
-        raise StateError(f"{what} has non-finite components")
+        raise StateError("Bloch vector has non-finite components")
     norm = math.sqrt(float(v.dot(v)))  # what np.linalg.norm computes for a real 1-D v
     if norm > 1.0 + BLOCH_TOL:
-        raise StateError(f"{what} norm {norm:.12g} exceeds 1")
-    return v
+        raise StateError(f"Bloch vector norm {norm:.12g} exceeds 1")
+    x, y, z = v.tolist()
+    # The bits of 0.5 * (I + einsum(a, sigma)): adding to the identity's 1.0 or +0.0 leaves no -0.0.
+    re, im, im_conj = 0.5 * (0.0 + x), 0.5 * (0.0 + y), 0.5 * (0.0 - y)
+    return [[0.5 * (1.0 + z), complex(re, im_conj)], [complex(re, im), 0.5 * (1.0 - z)]]
 
 
 def projector_pair(theta: float, phi: float) -> np.ndarray:
@@ -105,11 +108,8 @@ def projector_pair(theta: float, phi: float) -> np.ndarray:
 
 
 def qubit_state(a) -> np.ndarray:
-    """Single-qubit state (I + a . sigma) / 2 for a Bloch vector a with |a| <= 1."""
-    x, y, z = _as_bloch(a).tolist()
-    # The bits of 0.5 * (I + einsum(a, sigma)): adding to the identity's 1.0 or +0.0 leaves no -0.0.
-    re, im, im_conj = 0.5 * (0.0 + x), 0.5 * (0.0 + y), 0.5 * (0.0 - y)
-    return np.array([[0.5 * (1.0 + z), complex(re, im_conj)], [complex(re, im), 0.5 * (1.0 - z)]])
+    """Single-qubit state (I + a . sigma) / 2 for a real Bloch vector a with |a| <= 1."""
+    return np.array(_qubit_rows(a))
 
 
 class DensityMatrix:
@@ -249,10 +249,10 @@ class ProbTable2x2:
 
     @classmethod
     def from_array(cls, table) -> "ProbTable2x2":
-        try:
-            t = np.asarray(table, dtype=float)
+        try:  # bool, integer and float entries, as _qubit_rows takes them
+            t = np.asarray(table).astype(float, casting="same_kind", copy=False)
         except (TypeError, ValueError) as exc:
-            raise StateError(f"probability table must be a 2x2 array of numbers, got {type(table).__name__}") from exc
+            raise StateError(f"probability table must be a real 2x2 array, got {type(table).__name__}") from exc
         if t.shape != (2, 2):
             raise StateError(f"probability table must be 2x2, got shape {t.shape}")
         (p11, p12), (p21, p22) = t.tolist()
@@ -300,7 +300,7 @@ def cq_state(p1: float, theta: float, phi: float, a1, a2) -> DensityMatrix:
     if not 0.0 <= p1 <= 1.0:
         raise StateError(f"probability p1 must lie in [0, 1], got {p1}")
     pa = projector_pair(theta, phi)
-    qb = np.array([qubit_state(a1), qubit_state(a2)])
+    qb = np.array([_qubit_rows(a1), _qubit_rows(a2)])
     k1, k2 = (pa[:, :, None, :, None] * qb[:, None, :, None, :]).reshape(2, 4, 4)
     # Scalar weights: multiplying by a weight array signs some zeros otherwise.
     return DensityMatrix(p1 * k1 + (1.0 - p1) * k2)
@@ -420,7 +420,8 @@ def partial_transpose(rho: DensityMatrix) -> np.ndarray:
 
 def _pauli_coefficients(rho: DensityMatrix) -> np.ndarray:
     """C_ij = tr(rho sigma_i (x) sigma_j), sigma_0 = I: a = C[1:, 0], b = C[0, 1:], T = C[1:, 1:]."""
-    return np.einsum("ijab,ba->ij", _PAULI, _density_matrix(rho).mat).real
+    # c_einsum is what np.einsum calls when, as by default, it does not optimise: its bits, no wrapper.
+    return c_einsum("ijab,ba->ij", _PAULI, _density_matrix(rho).mat).real
 
 
 def bloch_vectors(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -89,8 +89,9 @@ def random_density_matrix(rng: np.random.Generator, components: int | None = Non
     k = int(components) if components is not None else int(rng.integers(1, 7))
     weights = rng.dirichlet(np.ones(k))
     mat = np.zeros((4, 4), dtype=complex)
-    for w in weights:
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    # Each component's real and imaginary normals, in one draw: the order of k pairs of standard_normal(4) calls.
+    for w, (re, im) in zip(weights, rng.standard_normal((k, 2, 4))):
+        v = re + 1j * im
         v /= np.linalg.norm(v)
         mat += w * np.outer(v, v.conj())
     mat = 0.5 * (mat + mat.conj().T)

@@ -179,17 +179,19 @@ def _names_used(path: Path) -> set[str]:
 
 
 def test_lapack_gufuncs_only_behind_the_states_seam():
-    # Production reaches numpy's LAPACK gufuncs through states._eigvalsh and
-    # states._eigh alone; the oracles check production, so they keep to
-    # public np.linalg and stay off the seam.
-    users = {
-        path.name
-        for path in SRC.glob("*.py")
-        if any("_umath_linalg" in name.split(".") for name in _names_used(path))
-    }
-    assert users == {"states.py"}
+    # Production reaches numpy's private entry points (the LAPACK gufuncs and
+    # the C einsum) through states._eigvalsh, states._eigh and
+    # states._pauli_coefficients alone; the oracles check production, so they
+    # keep to public numpy and stay off the seam.
+    for private in ("_umath_linalg", "c_einsum"):
+        users = {
+            path.name
+            for path in SRC.glob("*.py")
+            if any(private in name.split(".") for name in _names_used(path))
+        }
+        assert users == {"states.py"}, private
     oracle_names = {name.split(".")[-1] for name in _names_used(SRC / "oracles.py")}
-    assert not oracle_names & {"_eigvalsh", "_eigh"}
+    assert not oracle_names & {"_eigvalsh", "_eigh", "_pauli_coefficients", "c_einsum"}
 
 
 def _private_definitions(tree: ast.Module):

@@ -14,6 +14,7 @@ from qcorr.errors import DimensionError, StateError
 from qcorr.measures import (
     X_PATTERN_TOL,
     MeasureReport,
+    _covariance_array,
     _five_axes_d1,
     _local_x_d1,
     correlation_distance,
@@ -26,6 +27,8 @@ from qcorr.measures import (
 )
 from qcorr.oracles import SearchConfig, d1_oracle, mmc_oracle
 from qcorr.states import (
+    _PAULI,
+    _pauli_coefficients,
     DensityMatrix,
     ProbTable2x2,
     XStateParams,
@@ -74,6 +77,63 @@ class TestCovarianceMatrix:
         s2 = math.sin(2 * theta)
         q = covariance_matrix(rho_theta(theta))
         assert np.allclose(q, np.diag([s2 / 2, -s2 / 2, s2 * s2 / 4]), atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def coefficient_states():
+    """1000 seeded random states of rank 1 to 4, the edge states, and X, cq, cc and Werner states."""
+    rng = np.random.default_rng(389)
+    states = [random_density_matrix(rng, 1 + k % 4) for k in range(1000)]
+    states += [DensityMatrix(m) for m in EDGE_STATES.values()]
+    states += [x_state(random_x_params(rng)) for _ in range(50)]
+    states += [cq_state(0.3, 0.0, 0.0, (1.0, 0.0, 0.0), (0.0, -0.0, -1.0))]
+    states += [
+        cq_state(rng.random(), *rng.uniform(-4.0, 4.0, 2).tolist(), random_bloch_vector(rng), random_bloch_vector(rng))
+        for _ in range(50)
+    ]
+    states += [cc_state(ProbTable2x2(0.5, 0.0, 0.5, -0.0), math.pi / 2, 0.0, 0.0, -0.0)]
+    states += [
+        cc_state(ProbTable2x2(*rng.dirichlet(np.ones(4)).tolist()), *rng.uniform(-4.0, 4.0, 4).tolist())
+        for _ in range(50)
+    ]
+    return states + [bell_diagonal(c, c, c) for c in (-1.0, -0.5, 0.0, 0.2, 1.0 / 3.0)]
+
+
+def _einsum_coefficients(rho: DensityMatrix) -> np.ndarray:
+    return np.einsum("ijab,ba->ij", _PAULI, rho.mat).real
+
+
+class TestCoefficientBits:
+    """The covariance and the Pauli coefficients keep the bits of their numpy forms."""
+
+    def test_pauli_coefficients_are_np_einsum_s(self, coefficient_states):
+        for rho in coefficient_states:
+            assert _pauli_coefficients(rho).tobytes() == _einsum_coefficients(rho).tobytes()
+
+    def test_covariance_is_t_minus_outer_ab(self, coefficient_states):
+        for rho in coefficient_states:
+            c = _einsum_coefficients(rho)
+            expected = c[1:, 1:] - np.outer(c[1:, 0], c[0, 1:])
+            got = covariance_matrix(rho)
+            assert got.dtype == np.float64 and got.shape == (3, 3)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_covariance_of_signed_zeros_and_subnormals(self):
+        # Every entry's product and difference rounds as numpy's, -0.0 and underflow included.
+        corners = [0.0, -0.0, 5e-324, -5e-324, 1e-200, -1e-200, 0.5, -1.0, 3.0]
+        rng = np.random.default_rng(397)
+        for _ in range(2000):
+            c = rng.choice(corners, size=(4, 4))
+            expected = c[1:, 1:] - np.outer(c[1:, 0], c[0, 1:])
+            assert _covariance_array(c.tolist()).tobytes() == expected.tobytes(), c
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_covariance_is_state_error(self, value):
+        # No valid state gives one; the check singular_values_3 makes runs on the floats.
+        c = np.eye(4)
+        c[2, 1] = value
+        with pytest.raises(StateError, match="non-finite"):
+            _covariance_array(c.tolist())
 
 
 class TestSingularValues3:
@@ -486,9 +546,10 @@ class TestFullReport:
     )
     def test_two_eigvalsh_calls_per_closed_form_record(self, monkeypatch, record):
         # One on the stacked matrix and partial transpose, one on the 3x3 Gram,
-        # both through the seam and none through numpy's wrapper.
-        real, real_public = qcorr.states._eigvalsh, np.linalg.eigvalsh
-        shapes, public = [], []
+        # both through the seam and none through numpy's wrapper; the Pauli
+        # coefficients skip np.einsum's wrapper too.
+        real, real_public, real_einsum = qcorr.states._eigvalsh, np.linalg.eigvalsh, np.einsum
+        shapes, public, einsums = [], [], []
 
         def counting(h):
             shapes.append(np.shape(h))
@@ -498,12 +559,17 @@ class TestFullReport:
             public.append(np.shape(h))
             return real_public(h)
 
+        def counting_einsum(*args, **kwargs):
+            einsums.append(args[0])
+            return real_einsum(*args, **kwargs)
+
         monkeypatch.setattr(qcorr.states, "_eigvalsh", counting)
         monkeypatch.setattr(qcorr.measures, "_eigvalsh", counting)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_public)
+        monkeypatch.setattr(np, "einsum", counting_einsum)
         assert full_report(state_from_record(record)).d1_method == "closed_form"
         assert sorted(shapes) == [(2, 4, 4), (3, 3)]
-        assert public == []
+        assert public == [] and einsums == []
 
     @pytest.mark.parametrize("mat", EDGE_STATES.values(), ids=EDGE_STATES.keys())
     def test_edge_states_warn_nothing_and_match_numpy_s_route(self, monkeypatch, mat):

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,18 @@ class TestQubitState:
     def test_norm_above_one_rejected(self):
         with pytest.raises(StateError):
             qubit_state((1.0, 0.5, 0.0))
+
+    @pytest.mark.parametrize(
+        "a", [np.array([0.1, 0.2, 0.3]) + 1j, [0.1, 0.2, 0.3 + 0j]], ids=["complex array", "one complex entry"]
+    )
+    def test_complex_vector_is_state_error(self, a):
+        # A cast to float would drop the imaginary part behind a ComplexWarning and give a plausible state.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StateError, match="real 3-vector"):
+                qubit_state(a)
+            with pytest.raises(StateError, match="real 3-vector"):
+                cq_state(0.5, 0.3, 0.2, a, (0.0, 0.0, 1.0))
 
 
 class TestDensityMatrixValidation:
@@ -286,32 +299,37 @@ class TestLapackSeam:
         for h in lapack_inputs[2]:
             w, v = _eigh(h)
             expected_w, expected_v = np.linalg.eigh(h)
-            assert w.tobytes() == expected_w.tobytes() and v.tobytes() == expected_v.tobytes()
+            assert np.array(w).tobytes() == expected_w.tobytes() and v.tobytes() == expected_v.tobytes()
 
     def test_nan_output_is_linalg_error(self, monkeypatch):
         # LAPACK failure leaves NaNs; one anywhere in the output must raise.
         real = qcorr.states._umath_linalg
 
+        at = 0
+
         class OneNan:
             @staticmethod
             def eigvalsh_lo(a, signature):
                 w = real.eigvalsh_lo(a, signature=signature)
-                w.flat[-1] = math.nan
+                w.flat[at] = math.nan
                 return w
 
             @staticmethod
             def eigh_lo(a, signature):
                 w, v = real.eigh_lo(a, signature=signature)
-                w.flat[-1] = math.nan
+                w.flat[at] = math.nan
                 return w, v
 
         monkeypatch.setattr(qcorr.states, "_umath_linalg", OneNan)
-        with pytest.raises(LinAlgError):
-            _eigvalsh(np.eye(3))
-        with pytest.raises(LinAlgError):
-            _eigh(np.stack([np.eye(3), np.eye(3)]))
-        with pytest.raises(LinAlgError):
-            DensityMatrix(np.eye(4) / 4)
+        for at in range(3):
+            with pytest.raises(LinAlgError):
+                _eigvalsh(np.eye(3))
+        for at in range(6):
+            with pytest.raises(LinAlgError):
+                _eigh(np.stack([np.eye(3), np.eye(3)]))
+        for at in range(8):
+            with pytest.raises(LinAlgError):
+                DensityMatrix(np.eye(4) / 4)
 
 
 class TestPureState:
@@ -413,8 +431,16 @@ class TestClassicalClassical:
             ProbTable2x2(0.5, 0.5, 0.5, 0.5)
 
     def test_text_table_rejected(self):
-        with pytest.raises(StateError, match="2x2 array of numbers"):
+        with pytest.raises(StateError, match="real 2x2 array"):
             ProbTable2x2.from_array("ab")
+
+    def test_complex_table_rejected(self):
+        table = np.array([[0.4, 0.1], [0.2, 0.3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for value in (table + 0.5j, table + 0j):
+                with pytest.raises(StateError, match="real 2x2 array"):
+                    ProbTable2x2.from_array(value)
 
 
 class TestXState:
