@@ -100,24 +100,25 @@ def _singular_values(q: np.ndarray) -> list[float]:
 
 
 def singular_values_3(q) -> np.ndarray:
-    """Singular values of a real 3x3 matrix, descending.
+    """Singular values of a real 3x3 matrix, descending, by the spectrum core the measures share.
 
-    The square roots of the spectrum of ``q^T q``, by the spectrum core the measures share, which
-    takes it from numpy's LAPACK gufunc through :func:`qcorr.states._eigvalsh`: ``np.linalg.eigvalsh``'s
-    bits without its wrapper.  Eigenvalues in ``[-1e-14, 0)`` are clamped to zero.  Anything more
-    negative, and any non-finite entry of ``q``, raises :class:`StateError`: ``q`` is a state's
-    covariance matrix, and no valid state gives one.  A complex or non-numeric ``q`` raises
+    The square roots of the spectrum of ``q^T q`` from :func:`qcorr.states._eigvalsh`, which has
+    ``np.linalg.eigvalsh``'s bits without its wrapper.  Eigenvalues in ``[-1e-14, 0)`` are clamped to
+    zero.  Anything more negative, and any non-finite entry, raises :class:`StateError`: no valid
+    state's covariance matrix gives one.  A complex or non-numeric ``q`` raises
     :class:`DimensionError` rather than losing its imaginary part.
     """
-    try:  # a same-kind cast takes bool, integer and float entries
-        arr = np.asarray(q).astype(float, casting="same_kind", copy=False)
-    except (TypeError, ValueError) as exc:  # a ragged nesting, complex or text, say
+    try:
+        arr = np.asarray(q)
+    except (TypeError, ValueError) as exc:  # a ragged nesting, say
         raise DimensionError(f"expected a 3x3 real matrix, got {type(q).__name__}") from exc
+    if arr.dtype.kind not in "biuf":  # bool, integer and float entries; a cast would drop an imaginary part
+        raise DimensionError(f"expected a 3x3 real matrix, got dtype {arr.dtype}")
     if arr.shape != (3, 3):
         raise DimensionError(f"expected a 3x3 real matrix, got shape {arr.shape}")
     if np.count_nonzero(np.isfinite(arr)) < 9:
         raise StateError("matrix has non-finite entries")
-    return np.array(_singular_values(arr))
+    return np.array(_singular_values(arr.astype(float, copy=False)))
 
 
 def mmc(rho: DensityMatrix) -> float:
@@ -364,16 +365,11 @@ def _five_axes_d1(r: np.ndarray, rows: list) -> float:
 def full_report(rho: DensityMatrix) -> MeasureReport:
     """Compute all four measures for one state.
 
-    d1 takes the X-state closed form whenever the matrix has the X sparsity
-    pattern (off-pattern entries below ``X_PATTERN_TOL`` = 1e-12).  Otherwise
-    it takes the same closed form when local rotations make the state
-    X-shaped, that is when a = 0 or a is an eigenvector of T T^T, up to a
-    move of R by at most ``X_PATTERN_TOL`` |R|, which bounds the error of d1
-    by sqrt(3) * 1e-12 (:func:`_local_x_d1`).  Every other state takes the
-    least disturbance over the five axes of :func:`_five_axes_d1`.  None of
-    them searches, and ``d1_method`` reads "closed_form" on every state.
-    ``d1_oracle(rho, SearchConfig(...))`` is the independent search that
-    checks them.
+    d1 takes the X-state closed form on the X sparsity pattern (off-pattern entries below
+    ``X_PATTERN_TOL`` = 1e-12) or on a state that local rotations make X-shaped
+    (:func:`_local_x_d1`), and otherwise the least disturbance over the five axes of
+    :func:`_five_axes_d1`, as the module docstring sets out.  ``d1_method`` reads "closed_form"
+    on every state; ``d1_oracle`` is the independent search that checks the routes.
     """
     # One matrix of Pauli coefficients gives Q, a, b and R = C[1:].
     c = _pauli_coefficients(rho)

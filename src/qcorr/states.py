@@ -16,8 +16,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy._core.multiarray import c_einsum
 from numpy.linalg import LinAlgError, _umath_linalg
+
+try:  # numpy 2 renamed numpy.core to numpy._core
+    from numpy._core.multiarray import c_einsum
+except ImportError:
+    from numpy.core.multiarray import c_einsum
 
 from .errors import DimensionError, StateError
 

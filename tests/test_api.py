@@ -194,6 +194,24 @@ def test_lapack_gufuncs_only_behind_the_states_seam():
     assert not oracle_names & {"_eigvalsh", "_eigh", "_pauli_coefficients", "c_einsum"}
 
 
+def test_c_einsum_is_the_one_np_einsum_calls():
+    # numpy 2 moved numpy.core to numpy._core; states.py tries the new path and
+    # falls back to the old one, so the import works on every numpy that
+    # pyproject.toml admits, and either way it is np.einsum's own C function.
+    tree = ast.parse((SRC / "states.py").read_text(encoding="utf-8"))
+    (guard,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.Try)
+        and any(alias.name == "c_einsum" for stmt in node.body for alias in getattr(stmt, "names", []))
+    ]
+    ((handler_type, (fallback,)),) = [(h.type.id, h.body) for h in guard.handlers]
+    assert [stmt.module for stmt in guard.body] == ["numpy._core.multiarray"]
+    assert (handler_type, fallback.module) == ("ImportError", "numpy.core.multiarray")
+    assert [alias.name for alias in fallback.names] == ["c_einsum"]
+    assert qcorr.states.c_einsum is inspect.unwrap(np.einsum).__globals__["c_einsum"]
+
+
 def _private_definitions(tree: ast.Module):
     """(name, statement) for every module-level function, class or constant named _x."""
     for stmt in tree.body:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -164,13 +165,17 @@ class TestSingularValues3:
             singular_values_3(np.zeros((2, 2)))
 
     @pytest.mark.parametrize(
-        "value",
-        [np.diag([0.5, 0.2, 0.1]) + 1e-3j, [["a"] * 3] * 3, [[0.5, 0.0, 0.0], [0.2]]],
+        "value, reason",
+        [
+            (np.diag([0.5, 0.2, 0.1]) + 1e-3j, "dtype complex128"),
+            ([["a"] * 3] * 3, "dtype <U1"),
+            ([[0.5, 0.0, 0.0], [0.2]], "list"),
+        ],
         ids=["complex", "text", "ragged"],
     )
-    def test_complex_or_non_numeric_is_dimension_error(self, value):
+    def test_complex_or_non_numeric_is_dimension_error(self, value, reason):
         # numpy would drop the imaginary part behind a ComplexWarning and return a plausible number.
-        with pytest.raises(DimensionError, match="3x3 real matrix"):
+        with pytest.raises(DimensionError, match="3x3 real matrix, got " + re.escape(reason)):
             singular_values_3(value)
 
     def test_gram_negative_beyond_roundoff_is_state_error(self, monkeypatch):
@@ -580,7 +585,7 @@ class TestFullReport:
             seam = full_report(DensityMatrix(mat))
         monkeypatch.setattr(qcorr.states, "_eigvalsh", lambda h: np.linalg.eigvalsh(h).tolist())
         monkeypatch.setattr(qcorr.measures, "_eigvalsh", lambda h: np.linalg.eigvalsh(h).tolist())
-        monkeypatch.setattr(qcorr.measures, "_eigh", np.linalg.eigh)
+        monkeypatch.setattr(qcorr.measures, "_eigh", lambda h: (lambda w, v: (w.tolist(), v))(*np.linalg.eigh(h)))
         public = full_report(DensityMatrix(mat))
         assert repr(_float_bits(seam)) == repr(_float_bits(public))
 
