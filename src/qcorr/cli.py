@@ -1,6 +1,6 @@
 """Command line front end: measure reports, parameter sweeps, verification.
 
-Exit codes: 0 success, 2 unparseable input, 3 invalid state, 4 failed checks.
+Exit codes: 0 success, 2 bad input, verify setting or filter, 3 invalid state, 4 failed checks.
 """
 
 from __future__ import annotations
@@ -54,22 +54,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the built-in verification suite")
     p_verify.add_argument("--filter", help="only run checks whose id starts with this prefix")
-    p_verify.add_argument("--grid", type=_grid, help="d1_oracle's coarse search grid, e.g. 64x128")
-    p_verify.add_argument("--refine", type=int, help="d1_oracle's pattern-search refinement iterations")
+    # Stored under the SearchConfig fields they set, the names run_checks takes.
+    p_verify.add_argument("--grid", type=_grid, dest="coarse_grid", metavar="GRID",
+                          help="d1_oracle's coarse search grid, e.g. 64x128")
+    p_verify.add_argument("--refine", type=int, dest="refine_iters", metavar="REFINE",
+                          help="d1_oracle's pattern-search refinement iterations")
     p_verify.add_argument("--seed", type=int, help="seed for sampled ensembles")
     return parser
-
-
-_SEARCH_FLAGS = {"grid": "coarse_grid", "refine": "refine_iters", "seed": "seed"}
-
-
-def _search_overrides(args) -> dict:
-    """Search settings and seed set on the command line; each flag sets only its own."""
-    return {
-        field: getattr(args, flag)
-        for flag, field in _SEARCH_FLAGS.items()
-        if getattr(args, flag) is not None
-    }
 
 
 def _load_record(args) -> dict:
@@ -132,7 +123,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_checks(prefix=args.filter, overrides=_search_overrides(args))
+    # Each flag given replaces only its own setting.
+    flags = {key: getattr(args, key) for key in ("coarse_grid", "refine_iters", "seed")}
+    results = run_checks(prefix=args.filter, overrides={k: v for k, v in flags.items() if v is not None})
     for result in results:
         print(format_line(result))
     failed = sum(1 for r in results if not r.passed)

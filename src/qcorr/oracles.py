@@ -154,7 +154,7 @@ def _compass_frames(n, u, v, step: float) -> list[tuple]:
     ]
 
 
-def d1_oracle(rho: DensityMatrix, cfg: SearchConfig | None = None, *, stop_below: float | None = None) -> float:
+def d1_oracle(rho: DensityMatrix, cfg: SearchConfig = DEFAULT_SEARCH, *, stop_below: float = 0.0) -> float:
     """Minimal trace-norm disturbance under one-sided projective measurements.
 
     Evaluates every node of a hemisphere grid of measurement axes (antipodal
@@ -164,20 +164,21 @@ def d1_oracle(rho: DensityMatrix, cfg: SearchConfig | None = None, *, stop_below
     frame: each step tries the four candidates of :func:`_compass_frames` in
     order, moves to the best that beats the current value (the first of
     equal ones), and halves the step when none does.  The steps live in the tangent plane of the axis sphere, so
-    the search does not degrade near the poles of the angle chart.  When
-    ``stop_below`` is given, the search returns as soon as the running
-    minimum drops to it; the result is then only an upper bound, which is all
-    the callers using it need.  A minimum of exactly 0 ends the search too:
-    no norm is below 0.
+    the search does not degrade near the poles of the angle chart.  It
+    returns as soon as the running minimum drops to ``stop_below``; above its
+    default 0.0 the result is then only an upper bound, which is all the
+    callers using it need.  No norm is below 0, so a minimum of 0 always ends
+    the search.  ``cfg`` must be a SearchConfig and ``stop_below`` a number.
     """
-    cfg = DEFAULT_SEARCH if cfg is None else cfg
+    if not isinstance(cfg, SearchConfig):
+        raise TypeError(f"cfg must be a SearchConfig, got {cfg!r}")
     r = bloch_matrix(rho).tolist()
     grid_n, grid_u, grid_v, step = _grid_frames(*cfg.coarse_grid)
     vals = frame_norms(r, grid_u, grid_v)
     k = int(np.argmin(vals))
     best = float(vals.flat[k])
     n, u, v = (_grid_node(f, *divmod(k, vals.shape[1])) for f in (grid_n, grid_u, grid_v))
-    stop = 0.0 if stop_below is None else max(stop_below, 0.0)
+    stop = max(stop_below, 0.0)
     for _ in range(cfg.refine_iters):
         if best <= stop:
             return best

@@ -8,12 +8,15 @@ the sample.  All randomness is seeded, so a run is reproducible end to end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .measures import (
+    _distance_from_singular_values,
+    _singular_values,
     correlation_distance,
+    covariance_matrix,
     d1_x_state,
     full_report,
     mmc,
@@ -71,16 +74,19 @@ def format_line(result: VerifyResult) -> str:
 
 
 def _configs(overrides: dict | None) -> tuple[SearchConfig, SearchConfig, int]:
-    """(single-state config, bulk-ensemble config, ensemble seed).
+    """(single-state config, bulk-ensemble config, ensemble seed), resolved once for all groups.
 
     ``overrides`` maps SearchConfig fields to values, and ``seed`` to the
     ensemble seed (default 0), a non-negative integer; each one replaces only
-    its own setting, a field in both configs.
+    its own setting, a field in both configs.  Any other key raises ValueError.
     """
     overrides = dict(overrides or {})
     seed = overrides.pop("seed", 0)
     if not (_is_int(seed) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    keys = [f.name for f in fields(SearchConfig)] + ["seed"]
+    if unknown := [key for key in overrides if key not in keys]:
+        raise ValueError(f"unknown verify settings {unknown}; the keys are {', '.join(keys)}")
     return replace(DEFAULT_SEARCH, **overrides), replace(_BULK_DEFAULT, **overrides), int(seed)
 
 
@@ -155,8 +161,7 @@ def random_bell_coefficients(rng: np.random.Generator) -> np.ndarray:
     return rng.dirichlet(np.ones(4)) @ _BELL_SIGNS
 
 
-def check_pure(overrides: dict | None = None) -> list[VerifyResult]:
-    spot_cfg, _, _ = _configs(overrides)
+def check_pure(spot_cfg: SearchConfig, bulk_cfg: SearchConfig, seed: int) -> list[VerifyResult]:
     dev_n = dev_d1 = dev_m = dev_c = dev_oracle = 0.0
     for n in (0.1, 0.25, 0.6, 0.9, 1.0):
         rho = pure_state(n)
@@ -175,8 +180,7 @@ def check_pure(overrides: dict | None = None) -> list[VerifyResult]:
     ]
 
 
-def check_classical_quantum(overrides: dict | None = None) -> list[VerifyResult]:
-    _, bulk_cfg, seed = _configs(overrides)
+def check_classical_quantum(spot_cfg: SearchConfig, bulk_cfg: SearchConfig, seed: int) -> list[VerifyResult]:
     rng = np.random.default_rng(seed + 101)
     dev_formula = dev_cd = max_neg = max_d1 = 0.0
     count_at_one = 0
@@ -206,8 +210,7 @@ def check_classical_quantum(overrides: dict | None = None) -> list[VerifyResult]
     ]
 
 
-def check_classical_classical(overrides: dict | None = None) -> list[VerifyResult]:
-    _, bulk_cfg, seed = _configs(overrides)
+def check_classical_classical(spot_cfg: SearchConfig, bulk_cfg: SearchConfig, seed: int) -> list[VerifyResult]:
     rng = np.random.default_rng(seed + 202)
     dev_cov = dev_cd = max_neg = max_d1 = 0.0
     for _ in range(200):
@@ -230,7 +233,7 @@ def check_classical_classical(overrides: dict | None = None) -> list[VerifyResul
     ]
 
 
-def check_discordant_separable(overrides: dict | None = None) -> list[VerifyResult]:
+def check_discordant_separable(spot_cfg: SearchConfig, bulk_cfg: SearchConfig, seed: int) -> list[VerifyResult]:
     dev_m = dev_c = dev_d1 = max_neg = 0.0
     strict_failures = 0
     for w in np.linspace(0.05, 0.45, 9):
@@ -259,7 +262,7 @@ def check_discordant_separable(overrides: dict | None = None) -> list[VerifyResu
     ]
 
 
-def check_entangled_family(overrides: dict | None = None) -> list[VerifyResult]:
+def check_entangled_family(spot_cfg: SearchConfig, bulk_cfg: SearchConfig, seed: int) -> list[VerifyResult]:
     dev_n = dev_d1 = dev_m = dev_c = 0.0
     chain_failures = 0
     for k in range(1, 51):
@@ -294,8 +297,7 @@ def check_entangled_family(overrides: dict | None = None) -> list[VerifyResult]:
     ]
 
 
-def check_bell_diagonal(overrides: dict | None = None) -> list[VerifyResult]:
-    _, bulk_cfg, seed = _configs(overrides)
+def check_bell_diagonal(spot_cfg: SearchConfig, bulk_cfg: SearchConfig, seed: int) -> list[VerifyResult]:
     rng = np.random.default_rng(seed + 303)
     dev_closed = dev_oracle = dev_m = 0.0
     chain_failures = 0
@@ -328,13 +330,12 @@ def check_bell_diagonal(overrides: dict | None = None) -> list[VerifyResult]:
     ]
 
 
-def check_global_bound(overrides: dict | None = None) -> list[VerifyResult]:
-    _, _, seed = _configs(overrides)
+def check_global_bound(spot_cfg: SearchConfig, bulk_cfg: SearchConfig, seed: int) -> list[VerifyResult]:
     rng = np.random.default_rng(seed + 404)
     worst = 0.0
     for _ in range(10_000):
-        rho = random_density_matrix(rng)
-        worst = max(worst, mmc(rho) - correlation_distance(rho))
+        t = _singular_values(covariance_matrix(random_density_matrix(rng)))
+        worst = max(worst, t[0] - _distance_from_singular_values(t))
     return [
         VerifyResult(
             "global.mmc_below_correlation_distance", 0.0, max(0.0, worst), CLOSED_TOL
@@ -342,8 +343,7 @@ def check_global_bound(overrides: dict | None = None) -> list[VerifyResult]:
     ]
 
 
-def check_oracle_consistency(overrides: dict | None = None) -> list[VerifyResult]:
-    spot_cfg, bulk_cfg, seed = _configs(overrides)
+def check_oracle_consistency(spot_cfg: SearchConfig, bulk_cfg: SearchConfig, seed: int) -> list[VerifyResult]:
     rng = np.random.default_rng(seed + 505)
     dev_mmc = dev_d1 = 0.0
     for _ in range(500):
@@ -410,8 +410,7 @@ def check_oracle_consistency(overrides: dict | None = None) -> list[VerifyResult
     ]
 
 
-def check_conjecture_sweep(overrides: dict | None = None) -> list[VerifyResult]:
-    _, bulk_cfg, seed = _configs(overrides)
+def check_conjecture_sweep(spot_cfg: SearchConfig, bulk_cfg: SearchConfig, seed: int) -> list[VerifyResult]:
     rng = np.random.default_rng(seed + 606)
     violations = 0
     for _ in range(10_000):
@@ -448,13 +447,18 @@ def run_checks(prefix: str | None = None, overrides: dict | None = None) -> list
     ``overrides`` maps SearchConfig fields (``coarse_grid``, ``refine_iters``)
     and the ensemble ``seed`` to values that replace the suite's own settings
     one by one.  The seed draws the sampled ensembles only; no oracle reads it.
+    Every group gets the same ``(spot_cfg, bulk_cfg, seed)`` from :func:`_configs`.
+    A bad setting, and a prefix that names no group, raise ValueError before any
+    group runs; a prefix that selects no check id raises it after.
     """
-    _configs(overrides)  # an invalid override fails before any group runs
-    results: list[VerifyResult] = []
-    for name, fn in ALL_CHECKS:
-        if prefix and not (name.startswith(prefix) or prefix.startswith(name)):
-            continue
-        results.extend(fn(overrides))
-    if prefix:
-        results = [r for r in results if r.check_id.startswith(prefix)]
+    settings, prefix = _configs(overrides), prefix or ""
+    results = [
+        r
+        for name, fn in ALL_CHECKS
+        if name.startswith(prefix) or prefix.startswith(name)
+        for r in fn(*settings)
+        if r.check_id.startswith(prefix)
+    ]
+    if not results:
+        raise ValueError(f"no check id starts with {prefix!r}; the groups are {', '.join(dict(ALL_CHECKS))}")
     return results

@@ -4,18 +4,27 @@ Each test runs one check group of the built-in verification suite and prints
 its PASS/FAIL lines (visible with ``pytest -s`` or on failure).  Closed-form
 checks run at 1e-10, search-based ones at 2e-3; the conjecture sweep reports
 its violation count without ever failing the build.
+
+The lines must also equal, byte for byte, that group's lines of
+``data/verify_default.txt``, the output of a default ``qcorr verify`` run:
+a change that moves any printed digit of the default suite shows here.
 """
+
+from pathlib import Path
 
 from qcorr import verify
 
+GOLDEN = (Path(__file__).parent / "data" / "verify_default.txt").read_text(encoding="utf-8").splitlines()
+
 
 def _run_group(name):
-    fn = dict(verify.ALL_CHECKS)[name]
-    results = fn(None)
-    for result in results:
-        print(verify.format_line(result))
+    results = verify.run_checks(prefix=name)
+    lines = [verify.format_line(result) for result in results]
+    for line in lines:
+        print(line)
     failed = [r.check_id for r in results if not r.passed]
     assert not failed, f"failed checks: {failed}"
+    assert lines == [line for line in GOLDEN if line.split()[1].startswith(name + ".")]
     return results
 
 

@@ -89,6 +89,23 @@ def test_only_d1_oracle_takes_a_search_config():
     ]
     assert takers == ["d1_oracle"]
     assert list(inspect.signature(qcorr.mmc_oracle).parameters) == ["rho"]
+    # Real defaults, no None sentinels: the default search, and a stop at 0 that only an exact 0 reaches.
+    params = inspect.signature(qcorr.d1_oracle).parameters
+    assert params["cfg"].default is qcorr.DEFAULT_SEARCH
+    assert params["stop_below"].default == 0.0 and type(params["stop_below"].default) is float
+    assert params["stop_below"].kind is inspect.Parameter.KEYWORD_ONLY
+
+
+def test_verify_settings_resolved_at_one_site():
+    # run_checks resolves the overrides once and hands every group the result.
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    callers = [
+        getattr(stmt, "name", None)
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_configs"
+    ]
+    assert callers == ["run_checks"]
 
 
 def _qcorr_imports(path: Path) -> set[tuple[str, str]]:

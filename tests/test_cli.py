@@ -476,7 +476,7 @@ class TestVerify:
     )
     def test_oversized_search_exit_2_before_any_check(self, capsys, monkeypatch, flags):
         # The bound is checked before any group runs, so no check may start.
-        monkeypatch.setattr(verify, "ALL_CHECKS", [("boom", lambda overrides: pytest.fail("ran"))])
+        monkeypatch.setattr(verify, "ALL_CHECKS", [("boom", lambda *settings: pytest.fail("ran"))])
         code, out, err = run_cli(capsys, "verify", *flags)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and ("1024x2048" in err or "10000" in err)
@@ -492,7 +492,7 @@ class TestVerify:
     )
     def test_negative_seed_exit_2_before_any_check(self, capsys, monkeypatch, flags):
         # The seed is checked once, before any group runs, whatever the filter.
-        monkeypatch.setattr(verify, "ALL_CHECKS", [("boom", lambda overrides: pytest.fail("ran"))])
+        monkeypatch.setattr(verify, "ALL_CHECKS", [("boom", lambda *settings: pytest.fail("ran"))])
         code, out, err = run_cli(capsys, "verify", *flags)
         assert (code, out) == (2, "")
         assert err.startswith("error: seed must be a non-negative integer")
@@ -501,3 +501,33 @@ class TestVerify:
     def test_run_checks_rejects_seed(self, seed):
         with pytest.raises(ValueError, match="seed"):
             verify.run_checks(prefix="rho_d.spot", overrides={"seed": seed})
+
+    @pytest.mark.parametrize("key", ["grid", "refine", "stop_below", "coarse"])
+    def test_run_checks_rejects_unknown_key_before_any_check(self, monkeypatch, key):
+        # A flag's name is an easy slip for its field's; the message names the accepted keys.
+        monkeypatch.setattr(verify, "ALL_CHECKS", [("boom", lambda *settings: pytest.fail("ran"))])
+        with pytest.raises(ValueError, match="coarse_grid, refine_iters, seed") as err:
+            verify.run_checks(overrides={key: 64})
+        assert repr(key) in str(err.value)
+
+    def test_run_checks_takes_every_field_name(self):
+        fields = {"coarse_grid": (32, 64), "refine_iters": 20, "seed": 3}
+        assert [r.check_id for r in verify.run_checks("rho_d.spot", fields)] == ["rho_d.spot_d1", "rho_d.spot_mmc"]
+
+    @pytest.mark.parametrize("prefix", ["bel_diagonal", "rho_d.nope", "x", "pure.d1_oracle_equals_nx"])
+    def test_run_checks_rejects_filter_selecting_nothing(self, prefix):
+        with pytest.raises(ValueError, match="no check id starts with") as err:
+            verify.run_checks(prefix=prefix)
+        assert "bell_diagonal" in str(err.value) and "conjecture" in str(err.value)
+
+    def test_filter_naming_no_group_fails_before_any_check(self, monkeypatch):
+        monkeypatch.setattr(verify, "ALL_CHECKS", [("boom", lambda *settings: pytest.fail("ran"))])
+        with pytest.raises(ValueError, match="the groups are boom"):
+            verify.run_checks(prefix="bell_diagonal")
+
+    @pytest.mark.parametrize("prefix", ["bel_diagonal", "rho_d.nope"])
+    def test_filter_selecting_nothing_exit_2(self, capsys, prefix):
+        # A typo in --filter must not pass a gate by running nothing.
+        code, out, err = run_cli(capsys, "verify", "--filter", prefix)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: no check id starts with {prefix!r}")

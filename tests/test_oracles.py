@@ -7,6 +7,7 @@ from oracle_reference import classical_cov_from_moments, measurement_map
 from qcorr.errors import StateError
 from qcorr.measures import mmc
 from qcorr.oracles import (
+    DEFAULT_SEARCH,
     SearchConfig,
     _compass_frames,
     _grid_frames,
@@ -302,6 +303,21 @@ class TestD1Oracle:
         rho = cq_state(0.4, 0.3, 0.8, (0.2, 0.0, 0.5), (0.0, -0.3, 0.1))
         bound = d1_oracle(rho, BULK, stop_below=1e-5)
         assert bound <= 1e-5
+
+    def test_defaults_are_values_not_sentinels(self):
+        # The defaults passed explicitly give the same bits; a stop below 0 is a stop at 0.
+        rho = bell_diagonal(0.4, -0.2, 0.1)
+        plain = d1_oracle(rho, BULK)
+        assert d1_oracle(rho, BULK, stop_below=0.0) == plain
+        assert d1_oracle(rho, BULK, stop_below=-1.0) == plain
+        assert d1_oracle(rho, DEFAULT_SEARCH).hex() == d1_oracle(rho).hex()
+
+    def test_none_settings_raise_type_error(self):
+        rho = bell_diagonal(0.4, -0.2, 0.1)
+        with pytest.raises(TypeError, match="SearchConfig"):
+            d1_oracle(rho, None)
+        with pytest.raises(TypeError):
+            d1_oracle(rho, BULK, stop_below=None)
 
 
 class TestMmcOracle:
